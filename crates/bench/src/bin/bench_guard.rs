@@ -14,9 +14,10 @@
 //! and store-retry counters are diffed too (the chaos fault plan is
 //! seeded, so count growth means fault handling changed). Tableau
 //! trajectories (`BENCH_tableau.json`) contribute their
-//! `kernels` rows, matched by op and shape; those compare the blocked/scalar
-//! speedup *ratio* (warning below 75% of baseline) because the ratio is
-//! machine-noise-immune while the absolute per-iteration times are not. A
+//! `kernels` rows — RREF only, matched by shape; those compare the
+//! Four-Russians/word-loop speedup *ratio* (warning below 75% of baseline)
+//! because the ratio is machine-noise-immune while the absolute
+//! per-iteration times are not. A
 //! timing more than 25% above the baseline prints a `regression:`
 //! warning. Timings under the 20 ms noise floor are skipped (sub-floor
 //! stages are dominated by scheduler jitter); the smoke sweep's n=30 point
@@ -173,13 +174,13 @@ fn main() -> ExitCode {
             }
         }
     }
-    // Tableau trajectories: GF(2) kernel rows matched by op and shape. The
+    // Tableau trajectories: GF(2) RREF rows matched by op and shape. The
     // per-iteration times sit under the wall-clock noise floor, so the guard
-    // compares the *speedup ratio* of blocked over scalar instead — the
-    // quantity the kernel rows exist to pin. A fresh ratio below 75% of the
-    // committed one means the blocked kernel lost ground against its own
-    // scalar oracle on the same machine, which no amount of global machine
-    // noise explains.
+    // compares the *speedup ratio* of the Four-Russians elimination over the
+    // word-loop oracle instead — the quantity the kernel rows exist to pin.
+    // A fresh ratio below 75% of the committed one means the blocked path
+    // lost ground against its own oracle on the same machine, which no
+    // amount of global machine noise explains.
     let kernel_key = |e: &Value| -> Option<String> {
         let op = e.get("op")?.as_str()?.to_string();
         match (

@@ -25,7 +25,7 @@ use epgs::{BatchCompiler, BatchInstance};
 use epgs_bench::{corpus_framework, SEED};
 use epgs_corpus::{CorpusSpec, Value};
 use epgs_graph::generators;
-use epgs_graph::gf2::{kernels, BitMatrix};
+use epgs_graph::gf2::BitMatrix;
 use epgs_stabilizer::reference::RefTableau;
 use epgs_stabilizer::Tableau;
 use rand::rngs::StdRng;
@@ -155,14 +155,12 @@ fn bench_size(n: usize, rounds: usize) -> Vec<ClassResult> {
     results
 }
 
-/// Measures the GF(2) kernel pairs directly: the Four-Russians blocked RREF
-/// against the retained word-loop oracle on the solver's constraint shapes
-/// (`2n×(n+1)` deterministic-sign systems), and the 4-lane word kernels
-/// against their scalar twins on bulk vectors. Returns JSON entries for the
-/// trajectory's `kernels` array.
+/// Measures the Four-Russians blocked RREF against the word-loop oracle on
+/// the solver's constraint shapes (`2n×(n+1)` deterministic-sign systems).
+/// Returns JSON entries for the trajectory's `kernels` array.
 fn bench_kernels(smoke: bool) -> Vec<String> {
     use std::hint::black_box;
-    println!("\n== gf2 kernels (blocked vs retained scalar oracle) ==");
+    println!("\n== gf2 rref (Four-Russians vs word-loop oracle) ==");
     let mut entries = Vec::new();
     let mut rng = StdRng::seed_from_u64(SEED);
     // The smoke shape is the first full shape so the guard's ratio
@@ -215,50 +213,6 @@ fn bench_kernels(smoke: bool) -> Vec<String> {
         );
         entries.push(format!(
             "{{\"op\":\"rref\",\"rows\":{rows},\"cols\":{cols},\"scalar_ms\":{scalar_ms:.5},\"blocked_ms\":{blocked_ms:.5},\"speedup\":{speedup:.2}}}"
-        ));
-    }
-    // Bulk word kernels, each at the smallest width its blocked variant
-    // dispatches at (xor from 16 words; parity from its own higher cutoff —
-    // see `kernels::PARITY_CUTOFF_WORDS`).
-    for (op, words) in [
-        ("xor", 16usize),
-        ("parity_and", kernels::PARITY_CUTOFF_WORDS),
-    ] {
-        let a: Vec<u64> = (0..words).map(|_| rng.gen()).collect();
-        let b: Vec<u64> = (0..words).map(|_| rng.gen()).collect();
-        let iters = if smoke { 10_000 } else { 3_000_000 };
-        let t0 = Instant::now();
-        let mut acc = a.clone();
-        for _ in 0..iters {
-            match op {
-                "xor" => kernels::scalar::xor_words(&mut acc, &b),
-                _ => {
-                    black_box(kernels::scalar::parity_and_words(&acc, &b));
-                }
-            }
-        }
-        black_box(&acc);
-        let scalar_s = t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        let mut acc = a.clone();
-        for _ in 0..iters {
-            match op {
-                "xor" => kernels::blocked::xor_words(&mut acc, &b),
-                _ => {
-                    black_box(kernels::blocked::parity_and_words(&acc, &b));
-                }
-            }
-        }
-        black_box(&acc);
-        let blocked_s = t0.elapsed().as_secs_f64();
-        let scalar_mops = iters as f64 / scalar_s.max(1e-12) / 1e6;
-        let blocked_mops = iters as f64 / blocked_s.max(1e-12) / 1e6;
-        let speedup = blocked_mops / scalar_mops.max(1e-12);
-        println!(
-            "{op:>10} {words}w   scalar {scalar_mops:>8.1} Mop/s  blocked {blocked_mops:>8.1} Mop/s  {speedup:>5.2}x"
-        );
-        entries.push(format!(
-            "{{\"op\":\"{op}\",\"words\":{words},\"scalar_mops\":{scalar_mops:.1},\"blocked_mops\":{blocked_mops:.1},\"speedup\":{speedup:.2}}}"
         ));
     }
     entries

@@ -1,258 +1,50 @@
-//! Wide-word GF(2) kernels with a retained scalar oracle path.
+//! The word loops behind [`super::BitVec`] / [`super::BitMatrix`].
 //!
-//! Every bulk boolean loop in [`super::BitVec`] / [`super::BitMatrix`]
-//! funnels through this module. Each kernel exists twice:
-//!
-//! * [`scalar`] — the original straight-line word loop, kept verbatim as the
-//!   ground-truth oracle the differential suite compares against (and as the
-//!   fast path for short vectors, where blocking buys nothing).
-//! * [`blocked`] — the same operation unrolled over 4×u64 lanes so the
-//!   compiler keeps four independent accumulator chains in flight (and, with
-//!   AVX2/AVX-512 available, vectorizes the lane loop outright).
-//!
-//! The public entry points (`xor_words`, `parity_and_words`, …) dispatch at
-//! runtime on the word count: slices shorter than [`BLOCK_CUTOFF_WORDS`]
-//! take the scalar path — every per-photon solve in the compiler works on
-//! 1–2-word vectors where the blocked prologue is pure overhead — and longer
-//! slices take the lanes. The [`force_scalar`] toggle (or the
-//! `EPGS_GF2_FORCE_SCALAR` environment variable, read once) pins dispatch to
-//! the scalar path so test suites and CI can drive identical workloads down
-//! both paths; the two must be bit-for-bit indistinguishable.
+//! Every bulk boolean loop (XOR, OR, AND-parity, popcount, zero test) is one
+//! straight-line loop over `u64` words here. The compiler's vectors are a few
+//! words long, so there is no blocked or lane-unrolled variant to dispatch to.
 //!
 //! The module also hosts the cache-blocked 64×64 bit-transpose
 //! ([`transpose_64x64`]) used to move data between the column-major bit-sliced
 //! stores and row-major scratch tiles (see `epgs_stabilizer`'s batched row
-//! gathers and the Four-Russians RREF in [`super::BitMatrix`]).
+//! gathers).
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Slices with at least this many words take the 4-lane blocked path.
-pub const BLOCK_CUTOFF_WORDS: usize = 8;
-
-/// Dispatch cutoff for [`parity_and_words`] specifically. The parity kernel
-/// has no store traffic, so breaking the dependency chain into four lanes
-/// buys nothing until the slice is long, while the extra popcounts and lane
-/// setup cost real cycles: measured on the CI-class host, the blocked
-/// variant runs at ~0.8–0.9× scalar through 64-word operands (the
-/// single-accumulator scalar loop autovectorizes into an AND+XOR fold on
-/// its own) and only pulls ahead (~1.1–1.2×) from 256 words. The cutoff
-/// sits at that measured crossover; in practice the solver's ≤16-word
-/// parity probes always take the scalar path, which is the faster one for
-/// them.
-pub const PARITY_CUTOFF_WORDS: usize = 256;
-
-/// Words per blocked lane group.
-pub const LANES: usize = 4;
-
-/// Kernel dispatch mode: 0 = uninitialised, 1 = auto, 2 = scalar-forced.
-static KERNEL_MODE: AtomicU8 = AtomicU8::new(0);
-
-/// True when dispatch is pinned to the scalar oracle path.
-///
-/// Initialised on first use from the `EPGS_GF2_FORCE_SCALAR` environment
-/// variable (any non-empty value other than `0` forces scalar), after which
-/// [`force_scalar`] can override it programmatically.
+/// `dst ^= src`, word-wise over the common length.
 #[inline]
-pub fn scalar_forced() -> bool {
-    match KERNEL_MODE.load(Ordering::Relaxed) {
-        0 => init_mode(),
-        m => m == 2,
+pub(super) fn xor_words(dst: &mut [u64], src: &[u64]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d ^= s;
     }
 }
 
-#[cold]
-fn init_mode() -> bool {
-    let scalar = std::env::var("EPGS_GF2_FORCE_SCALAR").is_ok_and(|v| !v.is_empty() && v != "0");
-    KERNEL_MODE.store(if scalar { 2 } else { 1 }, Ordering::Relaxed);
-    scalar
-}
-
-/// Pins (or unpins) kernel dispatch to the scalar path.
-///
-/// Intended for tests and the CI scalar-kernel matrix leg; the toggle is
-/// process-global. Both settings must produce bit-identical results for
-/// every kernel, so flipping it concurrently is benign — it only changes
-/// which implementation runs.
-pub fn force_scalar(on: bool) {
-    KERNEL_MODE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-}
-
-/// The scalar word loops — the retained oracle implementations.
-pub mod scalar {
-    /// `dst ^= src`, word-wise over the common length.
-    pub fn xor_words(dst: &mut [u64], src: &[u64]) {
-        for (d, &s) in dst.iter_mut().zip(src) {
-            *d ^= s;
-        }
-    }
-
-    /// `dst |= src`, word-wise over the common length.
-    pub fn or_words(dst: &mut [u64], src: &[u64]) {
-        for (d, &s) in dst.iter_mut().zip(src) {
-            *d |= s;
-        }
-    }
-
-    /// Parity of `popcount(a & b)` over the common length.
-    pub fn parity_and_words(a: &[u64], b: &[u64]) -> bool {
-        let mut acc = 0u64;
-        for (&x, &y) in a.iter().zip(b) {
-            acc ^= x & y;
-        }
-        acc.count_ones() % 2 == 1
-    }
-
-    /// Total set bits.
-    pub fn count_ones_words(words: &[u64]) -> usize {
-        words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// True when every word is zero.
-    pub fn is_zero_words(words: &[u64]) -> bool {
-        words.iter().all(|&w| w == 0)
-    }
-}
-
-/// The 4×u64-lane unrolled kernels.
-///
-/// Each loop processes `LANES` words per step with independent accumulators,
-/// then drains the remainder through the scalar tail. Results are
-/// bit-identical to [`scalar`] by construction (XOR/OR/popcount are
-/// associative and commutative word-wise).
-pub mod blocked {
-    use super::LANES;
-
-    /// `dst ^= src`, 4 lanes per step.
-    pub fn xor_words(dst: &mut [u64], src: &[u64]) {
-        let n = dst.len().min(src.len());
-        let (dchunks, dtail) = dst[..n].split_at_mut(n - n % LANES);
-        let (schunks, stail) = src[..n].split_at(n - n % LANES);
-        for (d, s) in dchunks
-            .chunks_exact_mut(LANES)
-            .zip(schunks.chunks_exact(LANES))
-        {
-            d[0] ^= s[0];
-            d[1] ^= s[1];
-            d[2] ^= s[2];
-            d[3] ^= s[3];
-        }
-        super::scalar::xor_words(dtail, stail);
-    }
-
-    /// `dst |= src`, 4 lanes per step.
-    pub fn or_words(dst: &mut [u64], src: &[u64]) {
-        let n = dst.len().min(src.len());
-        let (dchunks, dtail) = dst[..n].split_at_mut(n - n % LANES);
-        let (schunks, stail) = src[..n].split_at(n - n % LANES);
-        for (d, s) in dchunks
-            .chunks_exact_mut(LANES)
-            .zip(schunks.chunks_exact(LANES))
-        {
-            d[0] |= s[0];
-            d[1] |= s[1];
-            d[2] |= s[2];
-            d[3] |= s[3];
-        }
-        super::scalar::or_words(dtail, stail);
-    }
-
-    /// Parity of `popcount(a & b)`, 4 independent accumulator lanes.
-    pub fn parity_and_words(a: &[u64], b: &[u64]) -> bool {
-        let n = a.len().min(b.len());
-        let (achunks, atail) = a[..n].split_at(n - n % LANES);
-        let (bchunks, btail) = b[..n].split_at(n - n % LANES);
-        let mut acc = [0u64; LANES];
-        for (x, y) in achunks.chunks_exact(LANES).zip(bchunks.chunks_exact(LANES)) {
-            acc[0] ^= x[0] & y[0];
-            acc[1] ^= x[1] & y[1];
-            acc[2] ^= x[2] & y[2];
-            acc[3] ^= x[3] & y[3];
-        }
-        let mut tail = 0u64;
-        for (&x, &y) in atail.iter().zip(btail) {
-            tail ^= x & y;
-        }
-        let bits = acc[0].count_ones()
-            + acc[1].count_ones()
-            + acc[2].count_ones()
-            + acc[3].count_ones()
-            + tail.count_ones();
-        bits % 2 == 1
-    }
-
-    /// Total set bits, 4 partial sums.
-    pub fn count_ones_words(words: &[u64]) -> usize {
-        let (chunks, tail) = words.split_at(words.len() - words.len() % LANES);
-        let mut acc = [0usize; LANES];
-        for w in chunks.chunks_exact(LANES) {
-            acc[0] += w[0].count_ones() as usize;
-            acc[1] += w[1].count_ones() as usize;
-            acc[2] += w[2].count_ones() as usize;
-            acc[3] += w[3].count_ones() as usize;
-        }
-        acc[0] + acc[1] + acc[2] + acc[3] + super::scalar::count_ones_words(tail)
-    }
-
-    /// True when every word is zero (4-lane OR-reduction).
-    pub fn is_zero_words(words: &[u64]) -> bool {
-        let (chunks, tail) = words.split_at(words.len() - words.len() % LANES);
-        for w in chunks.chunks_exact(LANES) {
-            if w[0] | w[1] | w[2] | w[3] != 0 {
-                return false;
-            }
-        }
-        super::scalar::is_zero_words(tail)
-    }
-}
-
-/// `dst ^= src` with word-count dispatch.
+/// `dst |= src`, word-wise over the common length.
 #[inline]
-pub fn xor_words(dst: &mut [u64], src: &[u64]) {
-    if dst.len() >= BLOCK_CUTOFF_WORDS && !scalar_forced() {
-        blocked::xor_words(dst, src);
-    } else {
-        scalar::xor_words(dst, src);
+pub(super) fn or_words(dst: &mut [u64], src: &[u64]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d |= s;
     }
 }
 
-/// `dst |= src` with word-count dispatch.
+/// Parity of `popcount(a & b)` over the common length.
 #[inline]
-pub fn or_words(dst: &mut [u64], src: &[u64]) {
-    if dst.len() >= BLOCK_CUTOFF_WORDS && !scalar_forced() {
-        blocked::or_words(dst, src);
-    } else {
-        scalar::or_words(dst, src);
+pub(super) fn parity_and_words(a: &[u64], b: &[u64]) -> bool {
+    let mut acc = 0u64;
+    for (&x, &y) in a.iter().zip(b) {
+        acc ^= x & y;
     }
+    acc.count_ones() % 2 == 1
 }
 
-/// Parity of `popcount(a & b)` with word-count dispatch.
+/// Total set bits.
 #[inline]
-pub fn parity_and_words(a: &[u64], b: &[u64]) -> bool {
-    if a.len() >= PARITY_CUTOFF_WORDS && !scalar_forced() {
-        blocked::parity_and_words(a, b)
-    } else {
-        scalar::parity_and_words(a, b)
-    }
+pub(super) fn count_ones_words(words: &[u64]) -> usize {
+    words.iter().map(|w| w.count_ones() as usize).sum()
 }
 
-/// Total set bits with word-count dispatch.
+/// True when every word is zero.
 #[inline]
-pub fn count_ones_words(words: &[u64]) -> usize {
-    if words.len() >= BLOCK_CUTOFF_WORDS && !scalar_forced() {
-        blocked::count_ones_words(words)
-    } else {
-        scalar::count_ones_words(words)
-    }
-}
-
-/// True when every word is zero, with word-count dispatch.
-#[inline]
-pub fn is_zero_words(words: &[u64]) -> bool {
-    if words.len() >= BLOCK_CUTOFF_WORDS && !scalar_forced() {
-        blocked::is_zero_words(words)
-    } else {
-        scalar::is_zero_words(words)
-    }
+pub(super) fn is_zero_words(words: &[u64]) -> bool {
+    words.iter().all(|&w| w == 0)
 }
 
 /// In-place 64×64 bit-transpose (Hacker's Delight §7-3 delta-swap ladder).
@@ -293,57 +85,16 @@ pub fn transpose_64x64_naive(a: &[u64; 64]) -> [u64; 64] {
 mod tests {
     use super::*;
 
-    fn rng_words(n: usize, seed: u64) -> Vec<u64> {
-        let mut s = seed | 1;
-        (0..n)
-            .map(|_| {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                s
-            })
-            .collect()
-    }
-
-    #[test]
-    fn blocked_kernels_match_scalar_across_lengths() {
-        for len in [0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33] {
-            let a = rng_words(len, 0x9e37_79b9 + len as u64);
-            let b = rng_words(len, 0x1234_5678 + len as u64);
-            let mut d1 = a.clone();
-            let mut d2 = a.clone();
-            scalar::xor_words(&mut d1, &b);
-            blocked::xor_words(&mut d2, &b);
-            assert_eq!(d1, d2, "xor len {len}");
-            let mut o1 = a.clone();
-            let mut o2 = a.clone();
-            scalar::or_words(&mut o1, &b);
-            blocked::or_words(&mut o2, &b);
-            assert_eq!(o1, o2, "or len {len}");
-            assert_eq!(
-                scalar::parity_and_words(&a, &b),
-                blocked::parity_and_words(&a, &b),
-                "parity len {len}"
-            );
-            assert_eq!(
-                scalar::count_ones_words(&a),
-                blocked::count_ones_words(&a),
-                "count len {len}"
-            );
-            assert_eq!(
-                scalar::is_zero_words(&a),
-                blocked::is_zero_words(&a),
-                "is_zero len {len}"
-            );
-            assert!(blocked::is_zero_words(&vec![0u64; len]));
-        }
-    }
-
     #[test]
     fn transpose_matches_naive_and_is_involutive() {
-        let words = rng_words(64, 42);
+        let mut s = 42u64 | 1;
         let mut tile = [0u64; 64];
-        tile.copy_from_slice(&words);
+        for w in &mut tile {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            *w = s;
+        }
         let naive = transpose_64x64_naive(&tile);
         let mut fast = tile;
         transpose_64x64(&mut fast);

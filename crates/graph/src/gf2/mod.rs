@@ -16,11 +16,10 @@
 //!
 //! All sizes in this workspace are at most a few hundred, so no sparse
 //! representation is warranted. Bulk word loops (XOR/OR/popcount/inner
-//! product) dispatch through [`kernels`], which pairs a 4×u64-lane blocked
-//! path with the retained scalar oracle; reductions beyond the 64-row
-//! transposed kernel go through a Four-Russians blocked elimination
-//! ([`BitMatrix::rref_within_blocked_into`]) that is bit-identical to the
-//! word-loop path it replaces.
+//! product) live in [`kernels`], one straight-line loop each; reductions
+//! beyond the 64-row transposed kernel go through a Four-Russians blocked
+//! elimination ([`BitMatrix::rref_within_blocked_into`]) that is
+//! bit-identical to the word-loop path it replaces.
 //!
 //! # Examples
 //!
@@ -562,30 +561,32 @@ impl BitMatrix {
     /// Allocation-free [`BitMatrix::rref_within`]: the pivot columns are
     /// written into `pivots` (cleared first), reusing its storage.
     ///
-    /// Dispatches on shape: systems of ≤ 64 rows and ≤ 128 columns (every
-    /// per-photon constraint system the solver builds) go through the
-    /// transposed `rref_small` kernel; larger systems take the
-    /// Four-Russians blocked elimination
-    /// ([`BitMatrix::rref_within_blocked_into`]) unless
-    /// [`kernels::force_scalar`] pins dispatch to the retained word-loop
-    /// oracle ([`BitMatrix::rref_within_wordloop_into`]). All three paths
-    /// perform the same elementary row operations and produce bit-identical
-    /// reduced matrices and pivot lists.
+    /// Dispatches on shape alone: systems of ≤ 64 rows and ≤ 128 columns go
+    /// through the transposed `rref_small` kernel, systems of > 64 rows take
+    /// the Four-Russians blocked elimination
+    /// ([`BitMatrix::rref_within_blocked_into`]), and the remaining
+    /// ≤ 64-row, > 128-column systems take the word loop
+    /// ([`BitMatrix::rref_within_wordloop_into`]). All three run in real
+    /// compiles: compiling the `scale_mix` benchmark graphs once makes
+    /// 27,086 small, 23,799 Four-Russians and 576 word-loop calls; the
+    /// `paper_sweep` graphs make 29,197 / 5,072 / 0. All three paths perform
+    /// the same elementary row operations and produce bit-identical reduced
+    /// matrices and pivot lists.
     pub fn rref_within_into(&mut self, lead_cols: usize, pivots: &mut Vec<usize>) {
         assert!(lead_cols <= self.cols, "lead_cols out of range");
         pivots.clear();
         if self.rows <= 64 && self.cols <= 128 {
             self.rref_small(lead_cols, pivots);
-        } else if self.rows > 64 && !kernels::scalar_forced() {
+        } else if self.rows > 64 {
             self.rref_within_blocked_into(lead_cols, pivots);
         } else {
             self.rref_within_wordloop_into(lead_cols, pivots);
         }
     }
 
-    /// The retained straight-line word-loop RREF — the oracle path the
-    /// differential suite reduces against, and the fallback when the scalar
-    /// toggle is pinned.
+    /// The straight-line word-loop RREF — the path for ≤ 64-row systems wider
+    /// than 128 columns, and the oracle the differential suite reduces the
+    /// other two paths against.
     ///
     /// The elimination works on whole row slices: the pivot row is staged in
     /// a (stack) buffer so every other row is updated with one straight-line
@@ -1086,7 +1087,7 @@ fn m4ri_sweep<const W: usize>(
     }
 }
 
-/// [`m4ri_sweep`] for rows wider than 8 words (runtime word count).
+/// [`m4ri_sweep`] for rows wider than 16 words (runtime word count).
 #[allow(clippy::too_many_arguments)]
 fn m4ri_sweep_wide(
     data: &mut [u64],
@@ -1110,7 +1111,9 @@ fn m4ri_sweep_wide(
         pat &= pivmask;
         if pat != 0 {
             let entry = &table[pat as usize * wpr..pat as usize * wpr + wpr];
-            kernels::blocked::xor_words(row, entry);
+            for (w, &e) in row.iter_mut().zip(entry) {
+                *w ^= e;
+            }
         }
     }
 }

@@ -1,20 +1,20 @@
-//! Differential kernel-oracle harness for the GF(2) layer.
+//! Differential oracle harness for the GF(2) eliminations.
 //!
-//! Every fast path in `epgs_graph::gf2` ships with a retained scalar
-//! implementation; this suite drives both over adversarial shapes — exact
-//! word boundaries (63/64/65/127/128/129), all-zero and full-rank matrices,
-//! rank-deficient systems, and random instances via the proptest shim — and
-//! requires bit-for-bit agreement: same reduced matrices, same pivot lists,
-//! same solutions and null-space bases, same kernel outputs.
+//! `BitMatrix` reduces through three RREF paths — the transposed
+//! `rref_small` kernel, the Four-Russians blocked elimination, and the
+//! straight-line word loop — and the 64×64 bit-transpose has a naive
+//! per-bit twin. This suite drives each fast path against its oracle over
+//! adversarial shapes — exact word boundaries (63/64/65/127/128/129),
+//! all-zero and full-rank matrices, rank-deficient systems, and random
+//! instances via the proptest shim — and requires bit-for-bit agreement:
+//! same reduced matrices, same pivot lists, same solutions and null-space
+//! bases, same transposed tiles.
 
 use proptest::prelude::*;
 
-use epgs_graph::gf2::{kernels, BitMatrix, BitVec};
+use epgs_graph::gf2::{kernels, BitMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Bit lengths that straddle word boundaries plus a couple of bulk sizes.
-const ADVERSARIAL_LENS: [usize; 10] = [1, 63, 64, 65, 127, 128, 129, 255, 256, 513];
 
 /// Row/col shapes that straddle the `rref_small` cutoff (64 rows / 128 cols)
 /// and the word boundary in both dimensions.
@@ -32,16 +32,6 @@ const ADVERSARIAL_SHAPES: [(usize, usize); 12] = [
     (63, 129),
     (200, 150),
 ];
-
-fn random_bitvec(len: usize, rng: &mut StdRng) -> BitVec {
-    let mut v = BitVec::zeros(len);
-    for i in 0..len {
-        if rng.gen::<bool>() {
-            v.set(i, true);
-        }
-    }
-    v
-}
 
 fn random_matrix(rows: usize, cols: usize, density_num: u32, rng: &mut StdRng) -> BitMatrix {
     let mut m = BitMatrix::zeros(rows, cols);
@@ -85,54 +75,6 @@ fn assert_rref_paths_agree(m: &BitMatrix, lead_cols: usize, label: &str) {
 }
 
 #[test]
-fn bitvec_kernels_match_scalar_on_word_boundaries() {
-    let mut rng = StdRng::seed_from_u64(0xD1FF);
-    for &len in &ADVERSARIAL_LENS {
-        for case in 0..3 {
-            let (a, b) = match case {
-                0 => (BitVec::zeros(len), BitVec::zeros(len)), // all-zero
-                1 => {
-                    // all-ones
-                    let mut a = BitVec::zeros(len);
-                    let mut b = BitVec::zeros(len);
-                    for i in 0..len {
-                        a.set(i, true);
-                        b.set(i, true);
-                    }
-                    (a, b)
-                }
-                _ => (random_bitvec(len, &mut rng), random_bitvec(len, &mut rng)),
-            };
-            assert_eq!(
-                kernels::scalar::parity_and_words(a.words(), b.words()),
-                kernels::blocked::parity_and_words(a.words(), b.words()),
-                "parity_and len {len} case {case}"
-            );
-            assert_eq!(
-                kernels::scalar::count_ones_words(a.words()),
-                kernels::blocked::count_ones_words(a.words()),
-                "count_ones len {len} case {case}"
-            );
-            assert_eq!(
-                kernels::scalar::is_zero_words(a.words()),
-                kernels::blocked::is_zero_words(a.words()),
-                "is_zero len {len} case {case}"
-            );
-            let mut xs = a.clone();
-            let mut xb = a.clone();
-            kernels::scalar::xor_words(xs.words_mut(), b.words());
-            kernels::blocked::xor_words(xb.words_mut(), b.words());
-            assert_eq!(xs, xb, "xor len {len} case {case}");
-            let mut os = a.clone();
-            let mut ob = a.clone();
-            kernels::scalar::or_words(os.words_mut(), b.words());
-            kernels::blocked::or_words(ob.words_mut(), b.words());
-            assert_eq!(os, ob, "or len {len} case {case}");
-        }
-    }
-}
-
-#[test]
 fn rref_blocked_matches_wordloop_on_adversarial_shapes() {
     let mut rng = StdRng::seed_from_u64(0xBEEF);
     for &(rows, cols) in &ADVERSARIAL_SHAPES {
@@ -171,29 +113,34 @@ fn rref_blocked_matches_wordloop_on_adversarial_shapes() {
 }
 
 #[test]
-fn rref_dispatch_is_bit_identical_under_forced_scalar() {
-    // Flip the process-global dispatch toggle around identical reductions:
-    // the dispatched entry point must produce the same pivots, reduced
-    // matrix, and null basis either way. Safe against concurrent tests
-    // because both kernels are bit-identical — the toggle only selects
-    // which one runs.
+fn rref_dispatch_matches_wordloop_on_every_branch() {
+    // `rref_within_into` picks its path from the shape alone; on one or two
+    // shapes per branch the dispatched result must equal the word-loop
+    // oracle's pivots, reduced matrix, and null basis.
     let mut rng = StdRng::seed_from_u64(0xA11);
-    for &(rows, cols) in &[(100, 90), (129, 129), (80, 200)] {
+    for &(rows, cols) in &[
+        (40, 100),  // ≤ 64 rows, ≤ 128 cols → rref_small
+        (100, 90),  // > 64 rows → Four-Russians
+        (129, 129), // > 64 rows → Four-Russians
+        (80, 200),  // > 64 rows → Four-Russians
+        (40, 200),  // ≤ 64 rows, > 128 cols → word loop
+        (64, 129),  // ≤ 64 rows, > 128 cols → word loop
+    ] {
         let m = random_matrix(rows, cols, 3, &mut rng);
-        let mut auto = m.clone();
-        let mut scalar = m.clone();
-        let mut piv_auto = Vec::new();
-        let mut piv_scalar = Vec::new();
-        kernels::force_scalar(false);
-        auto.rref_within_into(cols, &mut piv_auto);
-        kernels::force_scalar(true);
-        scalar.rref_within_into(cols, &mut piv_scalar);
-        kernels::force_scalar(false);
-        assert_eq!(piv_auto, piv_scalar, "{rows}x{cols}: pivots diverge");
-        assert_eq!(auto, scalar, "{rows}x{cols}: reduced matrices diverge");
+        let mut dispatched = m.clone();
+        let mut wordloop = m.clone();
+        let mut piv_d = Vec::new();
+        let mut piv_w = Vec::new();
+        dispatched.rref_within_into(cols, &mut piv_d);
+        wordloop.rref_within_wordloop_into(cols, &mut piv_w);
+        assert_eq!(piv_d, piv_w, "{rows}x{cols}: pivots diverge");
         assert_eq!(
-            auto.null_space_from_reduced(&piv_auto, cols),
-            scalar.null_space_from_reduced(&piv_scalar, cols),
+            dispatched, wordloop,
+            "{rows}x{cols}: reduced matrices diverge"
+        );
+        assert_eq!(
+            dispatched.null_space_from_reduced(&piv_d, cols),
+            wordloop.null_space_from_reduced(&piv_w, cols),
             "{rows}x{cols}: null bases diverge"
         );
     }
@@ -261,34 +208,6 @@ proptest! {
         via_wordloop.rref_within_wordloop_into(cols, &mut piv_w);
         prop_assert_eq!(piv_b, piv_w);
         prop_assert_eq!(via_blocked, via_wordloop);
-    }
-
-    #[test]
-    fn random_kernel_words_agree(raw in proptest::collection::vec(any::<u64>(), 40), len in 0usize..40) {
-        let words = raw[..len].to_vec();
-        let other: Vec<u64> = words.iter().map(|w| w.rotate_left(17) ^ 0x9E37_79B9_7F4A_7C15).collect();
-        let mut xs = words.clone();
-        let mut xb = words.clone();
-        kernels::scalar::xor_words(&mut xs, &other);
-        kernels::blocked::xor_words(&mut xb, &other);
-        prop_assert_eq!(&xs, &xb);
-        let mut os = words.clone();
-        let mut ob = words.clone();
-        kernels::scalar::or_words(&mut os, &other);
-        kernels::blocked::or_words(&mut ob, &other);
-        prop_assert_eq!(&os, &ob);
-        prop_assert_eq!(
-            kernels::scalar::parity_and_words(&words, &other),
-            kernels::blocked::parity_and_words(&words, &other)
-        );
-        prop_assert_eq!(
-            kernels::scalar::count_ones_words(&words),
-            kernels::blocked::count_ones_words(&words)
-        );
-        prop_assert_eq!(
-            kernels::scalar::is_zero_words(&words),
-            kernels::blocked::is_zero_words(&words)
-        );
     }
 
     #[test]

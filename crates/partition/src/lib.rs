@@ -9,7 +9,6 @@
 //! * [`exact`] — branch-and-bound, exact up to ~16 vertices (used to certify
 //!   the heuristics);
 //! * [`fm`] — multi-restart Fiduccia–Mattheyses-style local search;
-//! * [`mod@anneal`] — simulated-annealing polish for rugged instances;
 //! * [`multilevel`] — METIS-style coarsen/partition/uncoarsen scheme that
 //!   replaces the flat FM search above ~50 vertices (the default
 //!   [`PartitionScheme`]);
@@ -30,7 +29,6 @@
 //! assert_eq!(p.cut, p.recompute_cut());
 //! ```
 
-pub mod anneal;
 pub mod control;
 pub mod error;
 pub mod exact;
@@ -39,7 +37,6 @@ pub mod lc_search;
 pub mod multilevel;
 pub mod spec;
 
-pub use anneal::{anneal, AnnealOptions};
 pub use control::{FaultHook, InjectedFault, SearchControl, SearchReport};
 pub use error::PartitionError;
 pub use lc_search::{partition_with_lc, partition_with_lc_controlled};

@@ -16,8 +16,8 @@
 //!    branch-and-bound (the weighted counterpart of
 //!    [`crate::exact::exact_min_cut`], same symmetry breaking) solves it
 //!    exactly when it has ≤ [`EXACT_LIMIT`] vertices, otherwise a greedy
-//!    weighted placement polished by a short Metropolis walk (the weighted
-//!    counterpart of [`mod@crate::anneal`]) seeds the refinement.
+//!    weighted placement polished by a short Metropolis walk
+//!    (`metropolis_polish`) seeds the refinement.
 //! 3. **Uncoarsen** — the assignment is projected level by level
 //!    (`fine[v] = coarse[map[v]]`) and refined at every level: a rebalance
 //!    drain restores the capacity bound, then boundary move passes compute
@@ -474,8 +474,7 @@ fn bfs_seed_weighted(wg: &WeightedGraph, num_blocks: usize, _g_max: u64) -> Vec<
 /// one overflow unit at a finer level — rather than a hard infeasibility
 /// wall: an overwhelming penalty makes the walk shred a good (contiguous)
 /// seed just to shave coarse-level overflow that the finest-level drain
-/// could have fixed almost for free. The weighted counterpart of
-/// [`mod@crate::anneal`].
+/// could have fixed almost for free.
 fn metropolis_polish(
     wg: &WeightedGraph,
     assign: &mut [usize],

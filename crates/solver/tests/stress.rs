@@ -122,36 +122,6 @@ fn connected_ordering_never_needs_more_emitters_than_natural_on_lattice() {
 }
 
 #[test]
-fn compiled_circuits_identical_on_both_gf2_kernel_paths() {
-    // End-to-end kernel-dispatch differential: the blocked Four-Russians
-    // elimination and the 4-lane word kernels must be unobservable from the
-    // solver — same circuit, op for op, as the forced-scalar oracle path.
-    // Sizes are past the 64-row `rref_small` cutoff so the deterministic
-    // sign and element searches really take the blocked path by default.
-    use epgs_graph::gf2::kernels;
-    let mut rng = StdRng::seed_from_u64(0xC0FFEE);
-    for g in [
-        generators::lattice(8, 9),
-        generators::cycle(70),
-        generators::random_tree(66, &mut rng),
-    ] {
-        kernels::force_scalar(false);
-        let blocked = solve(&g, &SolveOptions::default()).unwrap();
-        kernels::force_scalar(true);
-        let scalar = solve(&g, &SolveOptions::default()).unwrap();
-        kernels::force_scalar(false);
-        assert_eq!(
-            blocked.circuit,
-            scalar.circuit,
-            "kernel paths compiled different circuits on {} photons",
-            g.vertex_count()
-        );
-        assert_eq!(blocked.emitters, scalar.emitters);
-        assert_eq!(blocked.ordering, scalar.ordering);
-    }
-}
-
-#[test]
 fn disconnected_graph_compiles() {
     // Two disjoint edges plus an isolated vertex.
     let g = Graph::from_edges(5, [(0, 1), (2, 3)]).unwrap();
