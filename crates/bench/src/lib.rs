@@ -1,13 +1,13 @@
 //! Shared workloads and helpers for the evaluation harness.
 //!
-//! Each binary in `src/bin/` regenerates one figure of the paper's §V using
-//! these fixed, seeded workloads (Fig. 9 families: 2D lattice for MBQC,
-//! trees for QRAM/tree codes, Waxman random graphs for distributed QC).
-//! Sizes track the paper's sweeps: lattices 12–60 qubits, trees 10–40,
-//! Waxman 10–35. Beyond the figure binaries, `corpus_run` drives the batch
-//! engine (`epgs::BatchCompiler`) over a serializable `epgs_corpus`
-//! instance grid and emits per-pass JSON reports, including the artifact
-//! cache's hit/miss counters.
+//! The `paper_eval` binary regenerates the paper's §V figures from a table
+//! of named experiments over these fixed, seeded workloads (Fig. 9
+//! families: 2D lattice for MBQC, trees for QRAM/tree codes, Waxman random
+//! graphs for distributed QC). Sizes track the paper's sweeps: lattices
+//! 12–60 qubits, trees 10–40, Waxman 10–35. Beyond the figures,
+//! `corpus_run` drives the batch engine (`epgs::BatchCompiler`) over a
+//! serializable `epgs_corpus` instance grid and emits per-pass JSON
+//! reports, including the artifact cache's hit/miss counters.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

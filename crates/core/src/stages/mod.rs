@@ -249,7 +249,7 @@ mod tests {
     }
 
     #[test]
-    fn sweep_reuses_partition_and_plan() {
+    fn sweep_plans_once_and_schedules_per_budget() {
         let p = quick_pipeline();
         let g = generators::lattice(3, 4);
         let compiled = p.sweep(&g, &[2, 3, 4]).unwrap();

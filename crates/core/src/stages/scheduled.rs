@@ -106,7 +106,7 @@ impl Scheduled {
     /// *configured* objective, so this is a cheap approximation of a
     /// platform's preference, not a full re-compile — for an unbiased
     /// cross-platform comparison build one pipeline per platform (as the
-    /// `hardware_sweep` bench bin does):
+    /// `hardware` experiment of the `paper_eval` bench bin does):
     ///
     /// ```
     /// use epgs::{CompileObjective, FrameworkConfig, Pipeline};

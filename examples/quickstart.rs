@@ -107,9 +107,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // configured CompileObjective. The default, `Emitters`, is the paper's
     // lexicographic (#ee-CNOT, then T_loss, then duration) order; swap in
     // `CompileObjective::Duration(hw)` or `::Loss(hw)` and platform timing
-    // decides instead (try `scheduled.recombine_objective(..)` — the
-    // hardware_sweep bench bin does exactly that across presets). The
-    // artifact records which strategy and objective won.
+    // decides instead (try `scheduled.recombine_objective(..)` for a quick
+    // re-score; for an unbiased cross-platform comparison build one
+    // pipeline per platform, as `paper_eval hardware` does). The artifact
+    // records which strategy and objective won.
     let recombined = scheduled.recombine()?;
     println!(
         "recombined via {:?} under the {} objective",
