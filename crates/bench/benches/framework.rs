@@ -8,14 +8,14 @@ use epgs_graph::generators;
 use epgs_partition::{partition_with_lc, PartitionSpec};
 
 fn bench_full_compile(c: &mut Criterion) {
-    let fw = bench_framework();
+    let pipeline = bench_framework();
     let mut group = c.benchmark_group("framework_compile");
     for (name, g) in [
         ("lattice4x4", generators::lattice(4, 4)),
         ("tree22", generators::tree(22, 2)),
     ] {
         group.bench_with_input(BenchmarkId::from_parameter(name), &g, |b, g| {
-            b.iter(|| fw.compile(g).expect("compiles"))
+            b.iter(|| pipeline.compile(g).expect("compiles"))
         });
     }
     group.finish();
@@ -46,7 +46,7 @@ fn bench_budget_sweep(c: &mut Criterion) {
     // The staged sweep must come in well under k × a full compile: the
     // partition + leaf-compile prefix runs once, only schedule → recombine →
     // verify repeats per budget.
-    let fw = bench_framework();
+    let pipeline = bench_framework();
     let g = generators::lattice(4, 4);
     let budgets: Vec<usize> = (1..=4).collect();
     let mut group = c.benchmark_group("budget_sweep_lattice4x4");
@@ -54,12 +54,19 @@ fn bench_budget_sweep(c: &mut Criterion) {
         b.iter(|| {
             budgets
                 .iter()
-                .map(|&k| fw.compile_with_budget(&g, k).expect("compiles"))
+                .map(|&k| {
+                    pipeline
+                        .partition(&g)
+                        .plan_leaves()
+                        .and_then(|planned| planned.schedule(k).recombine())
+                        .and_then(|r| r.verify())
+                        .expect("compiles")
+                })
                 .collect::<Vec<_>>()
         })
     });
     group.bench_function("staged_reuse", |b| {
-        b.iter(|| fw.sweep(&g, &budgets).expect("sweeps"))
+        b.iter(|| pipeline.sweep(&g, &budgets).expect("sweeps"))
     });
     group.finish();
 }

@@ -104,7 +104,6 @@ fn print_curve(label: &str, times: &[f64], counts: &[usize]) {
 fn fig5() -> Result<(), String> {
     let hw = hw();
     let planned = bench_framework()
-        .pipeline()
         .partition(&generators::lattice(3, 5))
         .plan_leaves()
         .map_err(|e| format!("leaf compilation failed: {e}"))?;
@@ -136,10 +135,10 @@ struct Row {
 }
 
 /// Figs. 10 and 11 (a). Each target is partitioned and leaf-planned once;
-/// the 1.5× point is what [`epgs::Framework::compile`] returns under
+/// the 1.5× point is what [`epgs::Pipeline::compile`] returns under
 /// [`bench_framework`]'s configured `EmitterBudget::Factor(1.5)`.
 fn fig10_11() -> Result<(), String> {
-    let pipeline = bench_framework().pipeline();
+    let pipeline = bench_framework();
     let hw = hw();
     let mut families = Vec::new();
     for (family, sweep) in all_families() {

@@ -45,10 +45,10 @@ fn main() -> ExitCode {
     }
 
     let mut written = 0usize;
-    let fw = bench_framework();
+    let pipeline = bench_framework();
     for (family, sweep) in all_families() {
         for (n, g) in sweep {
-            let compiled = match fw.compile(&g) {
+            let compiled = match pipeline.compile(&g) {
                 Ok(c) => c,
                 Err(e) => {
                     eprintln!("{family}-{n}: compile failed: {e}");
@@ -64,9 +64,9 @@ fn main() -> ExitCode {
         }
     }
 
-    let cfw = corpus_framework();
+    let corpus_pipeline = corpus_framework();
     for inst in CorpusSpec::default_corpus().instances() {
-        let compiled = match cfw.compile(&inst.graph) {
+        let compiled = match corpus_pipeline.compile(&inst.graph) {
             Ok(c) => c,
             Err(e) => {
                 eprintln!("{}: compile failed: {e}", inst.id);

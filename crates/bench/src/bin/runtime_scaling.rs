@@ -129,8 +129,7 @@ fn main() -> ExitCode {
         "{:>7} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
         "#qubit", "ee-CNOT", "total", "partn", "plan", "sched", "recomb", "verify"
     );
-    let fw = bench_framework();
-    let pipeline = fw.pipeline();
+    let pipeline = bench_framework();
     let mut framework_entries = Vec::new();
     for &n in framework_sizes {
         let g = generators::path(n);
@@ -146,9 +145,8 @@ fn main() -> ExitCode {
             }
         };
         let t_plan = t0.elapsed().as_secs_f64();
-        let budget = pipeline.config().emitter_budget.resolve(planned.ne_min());
         let t0 = Instant::now();
-        let scheduled = planned.schedule(budget);
+        let scheduled = planned.schedule(planned.configured_budget());
         let t_schedule = t0.elapsed().as_secs_f64();
         let t0 = Instant::now();
         let recombined = match scheduled.recombine() {
@@ -205,8 +203,7 @@ fn main() -> ExitCode {
         // scheme at one size so the committed trajectory itself shows the
         // speedup, measured on the same machine in the same run.
         let flat_json = if !smoke && n == FLAT_COMPARE_N {
-            let flat_fw = flat_framework();
-            let flat_pipeline = flat_fw.pipeline();
+            let flat_pipeline = flat_framework();
             let t0 = Instant::now();
             let _ = flat_pipeline.partition(&g);
             let t_flat = t0.elapsed().as_secs_f64();

@@ -12,7 +12,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use epgs::{Framework, FrameworkConfig};
+use epgs::{FrameworkConfig, PartitionScheme, Pipeline};
 use epgs_graph::{generators, Graph};
 use epgs_hardware::HardwareModel;
 use epgs_solver::BaselineOptions;
@@ -62,11 +62,12 @@ pub fn all_families() -> Vec<(&'static str, Vec<(usize, Graph)>)> {
     ]
 }
 
-/// Framework configuration used across the evaluation: the paper's g_max = 7
-/// and LC budget 15, with search effort sized so a full sweep runs in
-/// minutes (the paper instead allows a 20-minute MIP timeout per graph).
-pub fn bench_framework() -> Framework {
-    Framework::new(FrameworkConfig {
+/// The pipeline used across the evaluation: the paper's g_max = 7, with the
+/// LC budget (8; the paper uses 15) and search effort sized so a full sweep
+/// runs in minutes (the paper instead allows a 20-minute MIP timeout per
+/// graph).
+pub fn bench_framework() -> Pipeline {
+    Pipeline::new(FrameworkConfig {
         partition: epgs_partition::PartitionSpec {
             g_max: 7,
             lc_budget: 8,
@@ -76,7 +77,6 @@ pub fn bench_framework() -> Framework {
         },
         orderings_per_subgraph: 8,
         flexible_slack: 2,
-        verify: true,
         ..FrameworkConfig::default()
     })
 }
@@ -85,39 +85,18 @@ pub fn bench_framework() -> Framework {
 /// pre-multilevel engine, kept measurable so `runtime_scaling` can record
 /// the flat-vs-multilevel partition-stage speedup in the same run, on the
 /// same machine.
-pub fn flat_framework() -> Framework {
-    Framework::new(FrameworkConfig {
-        partition: epgs_partition::PartitionSpec {
-            g_max: 7,
-            lc_budget: 8,
-            effort: 8,
-            seed: SEED,
-            scheme: epgs_partition::PartitionScheme::Flat,
-        },
-        orderings_per_subgraph: 8,
-        flexible_slack: 2,
-        verify: true,
-        ..FrameworkConfig::default()
-    })
+pub fn flat_framework() -> Pipeline {
+    let mut config = bench_framework().config().clone();
+    config.partition.scheme = PartitionScheme::Flat;
+    Pipeline::new(config)
 }
 
-/// Framework configuration for corpus batch runs ([`bench_framework`] with
-/// the search effort trimmed so a 20+ instance corpus — see
-/// `epgs_corpus::CorpusSpec::default_corpus` — compiles in seconds).
-pub fn corpus_framework() -> Framework {
-    Framework::new(FrameworkConfig {
-        partition: epgs_partition::PartitionSpec {
-            g_max: 6,
-            lc_budget: 4,
-            effort: 5,
-            seed: SEED,
-            ..Default::default()
-        },
-        orderings_per_subgraph: 6,
-        flexible_slack: 1,
-        verify: true,
-        ..FrameworkConfig::default()
-    })
+/// The pipeline for corpus batch runs: the serve daemon's
+/// [`epgs_serve::default_config`], which is [`bench_framework`] with the
+/// search effort trimmed so a 20+ instance corpus — see
+/// `epgs_corpus::CorpusSpec::default_corpus` — compiles in seconds.
+pub fn corpus_framework() -> Pipeline {
+    Pipeline::new(epgs_serve::default_config())
 }
 
 /// Baseline configuration: GraphiQ-style alternate-target search.

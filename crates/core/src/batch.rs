@@ -1,7 +1,7 @@
 //! The batch compilation engine: corpus-scale compilation with a
 //! content-addressed artifact cache.
 //!
-//! [`crate::Framework::compile`] handles one target; production evaluation
+//! [`crate::Pipeline::compile`] handles one target; production evaluation
 //! sweeps hundreds. [`BatchCompiler`] compiles a whole instance list in
 //! parallel, deduplicating work through an [`ArtifactCache`] keyed by the
 //! *content* of each job — the label-invariant [`canonical_hash`] of the
@@ -36,8 +36,7 @@ use epgs_partition::{FaultHook, InjectedFault, SearchControl};
 use crate::config::{EmitterBudget, FrameworkConfig};
 use crate::error::FrameworkError;
 use crate::faults::{self, lock_recover, FaultKind, FaultPlan, RequestCtx};
-use crate::framework::Compiled;
-use crate::stages::{Pipeline, Planned, RecombineStrategy};
+use crate::stages::{Compiled, Pipeline, Planned, RecombineStrategy};
 use crate::store::{ArtifactStore, StoreStats};
 
 /// Stable 64-bit fingerprint of every compilation-relevant configuration
@@ -104,7 +103,6 @@ pub fn config_fingerprint(cfg: &FrameworkConfig) -> u64 {
         cfg.partition.seed,
         cfg.orderings_per_subgraph as u64,
         cfg.flexible_slack as u64,
-        u64::from(cfg.verify),
         cfg.seed,
     ]
     .into_iter()

@@ -1,4 +1,4 @@
-//! Framework configuration and its builder.
+//! Compiler configuration and its builder.
 
 use epgs_hardware::{CompileObjective, HardwareModel};
 use epgs_partition::{PartitionScheme, PartitionSpec};
@@ -65,8 +65,6 @@ pub struct FrameworkConfig {
     /// Recombination strategies competing for the global circuit, tried in
     /// order (see [`RecombineStrategy`]).
     pub recombine: Vec<RecombineStrategy>,
-    /// Verify the final circuit against the target (strongly recommended).
-    pub verify: bool,
     /// Seed for the randomized phases.
     pub seed: u64,
 }
@@ -81,7 +79,6 @@ impl Default for FrameworkConfig {
             orderings_per_subgraph: 8,
             flexible_slack: 2,
             recombine: RecombineStrategy::all(),
-            verify: true,
             seed: 0xec05,
         }
     }
@@ -204,12 +201,6 @@ impl FrameworkConfigBuilder {
         self
     }
 
-    /// Toggles final stabilizer verification.
-    pub fn verify(mut self, verify: bool) -> Self {
-        self.config.verify = verify;
-        self
-    }
-
     /// Seed for the randomized phases.
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
@@ -255,7 +246,6 @@ mod tests {
         assert_eq!(built.orderings_per_subgraph, default.orderings_per_subgraph);
         assert_eq!(built.flexible_slack, default.flexible_slack);
         assert_eq!(built.recombine, default.recombine);
-        assert_eq!(built.verify, default.verify);
         assert_eq!(built.seed, default.seed);
     }
 
@@ -271,7 +261,6 @@ mod tests {
             .flexible_slack(0)
             .recombine(vec![RecombineStrategy::DirectSolve])
             .objective(CompileObjective::Duration(HardwareModel::rydberg()))
-            .verify(false)
             .seed(99)
             .build();
         assert_eq!(
@@ -286,7 +275,6 @@ mod tests {
         assert_eq!(c.orderings_per_subgraph, 5);
         assert_eq!(c.flexible_slack, 0);
         assert_eq!(c.recombine, vec![RecombineStrategy::DirectSolve]);
-        assert!(!c.verify);
         assert_eq!(c.seed, 99);
     }
 }

@@ -1,9 +1,9 @@
 //! # epgs — a scalable compilation framework for emitter-photonic graph states
 //!
-//! Rust reproduction of the DAC 2025 paper *"A Scalable and Robust
-//! Compilation Framework for Emitter-Photonic Graph State"* (Ren, Huang,
-//! Liang, Barbalace). Given a target graph state, the framework produces a
-//! verified generation circuit for the deterministic (emitter-based) scheme.
+//! Rust reproduction of the scalable and robust compilation framework for
+//! emitter-photonic graph states of Ren, Huang, Liang and Barbalace (DAC
+//! 2025). Given a target graph state, the framework produces a verified
+//! generation circuit for the deterministic (emitter-based) scheme.
 //!
 //! # The staged pipeline
 //!
@@ -45,19 +45,20 @@
 //! # }
 //! ```
 //!
-//! # The one-shot front-end
+//! # One-shot compiles
 //!
-//! [`Framework`] wraps the pipeline for the common single-compile case and
-//! produces output identical to the staged path:
+//! [`Pipeline::compile`] runs all five stages at the configured emitter
+//! budget ([`FrameworkConfig::emitter_budget`]) — the common
+//! single-compile case:
 //!
 //! ```
-//! use epgs::{Framework, FrameworkConfig};
+//! use epgs::{FrameworkConfig, Pipeline};
 //! use epgs_graph::generators;
 //!
 //! # fn main() -> Result<(), epgs::FrameworkError> {
 //! // Compile a 3×3 MBQC lattice graph state.
-//! let fw = Framework::new(FrameworkConfig::default());
-//! let compiled = fw.compile(&generators::lattice(3, 3))?;
+//! let pipeline = Pipeline::new(FrameworkConfig::default());
+//! let compiled = pipeline.compile(&generators::lattice(3, 3))?;
 //! println!("{}", epgs::report::render(&compiled));
 //! assert_eq!(compiled.circuit.emission_count(), 9);
 //! # Ok(())
@@ -82,19 +83,19 @@
 //! strategies on different hardware:
 //!
 //! ```
-//! use epgs::{CompileObjective, Framework, FrameworkConfig};
+//! use epgs::{CompileObjective, FrameworkConfig, Pipeline};
 //! use epgs_graph::generators;
 //! use epgs_hardware::HardwareModel;
 //!
 //! # fn main() -> Result<(), epgs::FrameworkError> {
 //! let rydberg = HardwareModel::rydberg();
-//! let fw = Framework::new(
+//! let pipeline = Pipeline::new(
 //!     FrameworkConfig::builder()
 //!         .objective(CompileObjective::Duration(rydberg.clone()))
 //!         .platform(rydberg)
 //!         .build(),
 //! );
-//! let compiled = fw.compile(&generators::lattice(3, 3))?;
+//! let compiled = pipeline.compile(&generators::lattice(3, 3))?;
 //! assert_eq!(compiled.objective.kind_name(), "duration");
 //! assert!(compiled.loss_report().mean_photon_loss < 1.0);
 //! # Ok(())
@@ -127,7 +128,6 @@ pub mod batch;
 pub mod config;
 pub mod error;
 pub mod faults;
-pub mod framework;
 pub mod report;
 pub mod schedule;
 pub mod stages;
@@ -147,10 +147,9 @@ pub use faults::{
     lock_recover, panic_message, FaultKind, FaultPlan, FaultRule, PlanError, PlanErrorKind,
     RequestCtx, Trigger,
 };
-pub use framework::{compile, Compiled, Framework};
 pub use schedule::{schedule, Placement, Schedule, StepFn};
 pub use stages::{
-    Partitioned, Pipeline, Planned, RecombineStrategy, Recombined, Scheduled, StageCounts,
+    Compiled, Partitioned, Pipeline, Planned, RecombineStrategy, Recombined, Scheduled, StageCounts,
 };
 pub use store::{ArtifactStore, RecoveryReport, StoreStats};
 pub use subgraph::{compile_subgraph, SubgraphPlan, SubgraphVariant};

@@ -1,17 +1,17 @@
 //! Human-readable compilation reports.
 
-use crate::framework::Compiled;
+use crate::stages::Compiled;
 
 /// Renders a one-target report: partition, schedule, and circuit metrics.
 ///
 /// # Examples
 ///
 /// ```
-/// use epgs::{compile, report};
+/// use epgs::{report, FrameworkConfig, Pipeline};
 /// use epgs_graph::generators;
 ///
 /// # fn main() -> Result<(), epgs::FrameworkError> {
-/// let compiled = compile(&generators::path(4))?;
+/// let compiled = Pipeline::new(FrameworkConfig::default()).compile(&generators::path(4))?;
 /// let text = report::render(&compiled);
 /// assert!(text.contains("ee-CNOTs"));
 /// # Ok(())
@@ -69,12 +69,15 @@ pub fn render(c: &Compiled) -> String {
 
 #[cfg(test)]
 mod tests {
-    use crate::framework::compile;
+    use crate::config::FrameworkConfig;
+    use crate::stages::Pipeline;
     use epgs_graph::generators;
 
     #[test]
     fn report_contains_key_lines() {
-        let c = compile(&generators::lattice(2, 3)).unwrap();
+        let c = Pipeline::new(FrameworkConfig::default())
+            .compile(&generators::lattice(2, 3))
+            .unwrap();
         let text = super::render(&c);
         assert!(text.contains("partition:"));
         assert!(text.contains("schedule:"));

@@ -1,8 +1,8 @@
 //! The staged compilation pipeline (paper Fig. 6), one artifact per stage.
 //!
-//! [`Framework::compile`](crate::Framework::compile) runs five stages —
-//! partition → per-leaf compile → schedule → recombine → verify — and this
-//! module exposes each as an explicit, reusable artifact:
+//! [`Pipeline::compile`] runs five stages — partition → per-leaf compile →
+//! schedule → recombine → verify — and this module exposes each as an
+//! explicit, reusable artifact:
 //!
 //! ```text
 //! Pipeline::partition(&Graph)   -> Partitioned   (§IV.A  partition + LC)
@@ -47,7 +47,7 @@ pub mod scheduled;
 
 pub use partitioned::Partitioned;
 pub use planned::Planned;
-pub use recombined::{RecombineStrategy, Recombined};
+pub use recombined::{Compiled, RecombineStrategy, Recombined};
 pub use scheduled::Scheduled;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -59,7 +59,6 @@ use epgs_solver::ordering;
 
 use crate::config::FrameworkConfig;
 use crate::error::FrameworkError;
-use crate::framework::Compiled;
 
 /// Execution counters of one [`Pipeline`], incremented once per stage run.
 ///
@@ -96,12 +95,35 @@ pub(crate) struct Shared {
     pub(crate) counters: StageCounters,
 }
 
-/// The staged compilation pipeline front-end.
+/// The compiler front-end: the one way to compile a target.
 ///
-/// Construct once per configuration, then drive targets through the stages.
-/// [`crate::Framework`] wraps this type for the one-shot monolithic call;
-/// use `Pipeline` directly when intermediate artifacts are worth keeping —
-/// budget sweeps, schedule inspection, or recombination experiments.
+/// Construct once per configuration, then either run a target end to end
+/// with [`Pipeline::compile`] or drive it through the stages by hand when
+/// intermediate artifacts are worth keeping — budget sweeps, schedule
+/// inspection, or recombination experiments.
+///
+/// # Examples
+///
+/// ```
+/// use epgs::{FrameworkConfig, Pipeline};
+/// use epgs_graph::generators;
+///
+/// # fn main() -> Result<(), epgs::FrameworkError> {
+/// let pipeline = Pipeline::new(FrameworkConfig::default());
+/// let compiled = pipeline.compile(&generators::lattice(3, 3))?;
+/// assert!(compiled.metrics.duration > 0.0);
+///
+/// // The same compile at an explicit emitter budget:
+/// let at_four = pipeline
+///     .partition(&generators::lattice(3, 3))
+///     .plan_leaves()?
+///     .schedule(4)
+///     .recombine()?
+///     .verify()?;
+/// assert_eq!(at_four.ne_limit, 4);
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone)]
 pub struct Pipeline {
     pub(crate) shared: Arc<Shared>,
@@ -152,15 +174,19 @@ impl Pipeline {
     }
 
     /// Runs all five stages for `target` under the configured emitter
-    /// budget — the staged equivalent of [`crate::Framework::compile`].
+    /// budget ([`Planned::configured_budget`]).
     ///
     /// # Errors
     ///
-    /// See [`crate::Framework::compile`].
+    /// Returns [`FrameworkError::Solver`] if any solve fails, or
+    /// [`FrameworkError::VerificationFailed`] if the final circuit does not
+    /// regenerate `target` (an internal bug).
     pub fn compile(&self, target: &Graph) -> Result<Compiled, FrameworkError> {
         let planned = self.partition(target).plan_leaves()?;
-        let ne_limit = self.shared.config.emitter_budget.resolve(planned.ne_min());
-        planned.schedule(ne_limit).recombine()?.verify()
+        planned
+            .schedule(planned.configured_budget())
+            .recombine()?
+            .verify()
     }
 
     /// Compiles `target` once per budget in `budgets`, running partition and
@@ -168,7 +194,7 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// See [`crate::Framework::compile`]; the first failing budget aborts.
+    /// See [`Pipeline::compile`]; the first failing budget aborts.
     pub fn sweep(
         &self,
         target: &Graph,
@@ -214,17 +240,103 @@ mod tests {
         )
     }
 
+    /// Compiles `g` through the stage chain at an explicit budget.
+    fn compile_at(p: &Pipeline, g: &Graph, budget: usize) -> Compiled {
+        p.partition(g)
+            .plan_leaves()
+            .and_then(|planned| planned.schedule(budget).recombine())
+            .and_then(Recombined::verify)
+            .expect("compiles")
+    }
+
     #[test]
     fn staged_run_matches_monolithic_compile() {
+        // `compile` is the stage chain at the configured budget, nothing more.
         let p = quick_pipeline();
         let g = generators::lattice(3, 3);
-        let staged = p.compile(&g).expect("staged compiles");
-        let fw = crate::Framework::new(p.config().clone());
-        let monolith = fw.compile(&g).expect("wrapper compiles");
+        let monolith = p.compile(&g).expect("compiles");
+        let planned = p.partition(&g).plan_leaves().expect("plans");
+        let staged = planned
+            .schedule(planned.configured_budget())
+            .recombine()
+            .and_then(Recombined::verify)
+            .expect("staged compiles");
         assert_eq!(staged.circuit, monolith.circuit);
         assert_eq!(staged.metrics, monolith.metrics);
         assert_eq!(staged.partition, monolith.partition);
         assert_eq!(staged.global_ordering, monolith.global_ordering);
+        assert_eq!(staged.ne_limit, monolith.ne_limit);
+    }
+
+    #[test]
+    fn compiles_and_verifies_lattice() {
+        let c = quick_pipeline()
+            .compile(&generators::lattice(3, 3))
+            .expect("lattice compiles");
+        assert_eq!(c.circuit.emission_count(), 9);
+        assert!(c.metrics.duration > 0.0);
+        assert!(c.ne_limit >= c.ne_min);
+    }
+
+    #[test]
+    fn compiles_and_verifies_tree() {
+        let c = quick_pipeline()
+            .compile(&generators::tree(10, 2))
+            .expect("tree compiles");
+        assert_eq!(c.global_ordering.len(), 10);
+    }
+
+    #[test]
+    fn compiles_waxman() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(77);
+        let g = generators::waxman(12, 0.5, 0.2, &mut rng);
+        let c = quick_pipeline().compile(&g).expect("waxman compiles");
+        assert_eq!(c.metrics.emissions, 12);
+    }
+
+    #[test]
+    fn lc_inverse_roundtrip_via_verification() {
+        // A complete graph forces the partitioner to use LC; verification
+        // inside compile() then proves append_lc_inverse is correct.
+        let p = Pipeline::new(
+            FrameworkConfig::builder()
+                .partition(epgs_partition::PartitionSpec {
+                    g_max: 3,
+                    lc_budget: 5,
+                    effort: 6,
+                    seed: 2,
+                    ..Default::default()
+                })
+                .orderings_per_subgraph(4)
+                .flexible_slack(1)
+                .build(),
+        );
+        let c = p.compile(&generators::complete(6)).expect("K6 compiles");
+        assert!(
+            !c.partition.lc_sequence.is_empty(),
+            "K6 partition should use LC"
+        );
+    }
+
+    #[test]
+    fn budget_override_changes_pool() {
+        let p = quick_pipeline();
+        let g = generators::lattice(3, 4);
+        let a = compile_at(&p, &g, 3);
+        let b = compile_at(&p, &g, 6);
+        assert_eq!(a.ne_limit, 3);
+        assert_eq!(b.ne_limit, 6);
+        // More emitters must not hurt the makespan estimate.
+        assert!(b.schedule.makespan <= a.schedule.makespan + 1e-9);
+    }
+
+    #[test]
+    fn single_block_graph_skips_stem() {
+        // Fits one block: no cut, no LC required.
+        let c = quick_pipeline().compile(&generators::path(5)).unwrap();
+        assert_eq!(c.partition.cut, 0);
+        assert_eq!(c.metrics.ee_two_qubit_count, 0, "path in one block");
     }
 
     #[test]

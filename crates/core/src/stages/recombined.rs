@@ -5,12 +5,12 @@ use std::sync::Arc;
 
 use epgs_circuit::{circuit_metrics, simulate, Circuit, CircuitMetrics, Op, Qubit};
 use epgs_graph::{height, ops, Graph};
-use epgs_hardware::CompileObjective;
+use epgs_hardware::{CompileObjective, LossReport};
+use epgs_partition::Partition;
 use epgs_solver::ordering;
 use epgs_solver::reverse::{solve_with_ordering, Affinity, SolveOptions};
 
 use crate::error::FrameworkError;
-use crate::framework::Compiled;
 use crate::schedule::{Placement, Schedule};
 use crate::stages::planned::PlannedData;
 use crate::stages::scheduled::Scheduled;
@@ -248,8 +248,7 @@ impl Recombined {
     }
 
     /// Stage 5: checks the circuit against the original target with the
-    /// stabilizer simulator (when the configuration asks for verification)
-    /// and assembles the final [`Compiled`] artifact.
+    /// stabilizer simulator and assembles the final [`Compiled`] artifact.
     ///
     /// Consumes the artifact so the circuit and schedule move (not clone)
     /// into the result; `clone()` the `Recombined` first to keep it.
@@ -259,13 +258,10 @@ impl Recombined {
     /// [`FrameworkError::VerificationFailed`] if the circuit does not
     /// regenerate the target — an internal bug by definition.
     pub fn verify(self) -> Result<Compiled, FrameworkError> {
-        let cfg = &self.shared.config;
-        if cfg.verify {
-            let ok = simulate::verify_circuit(&self.circuit, &self.target)
-                .map_err(|_| FrameworkError::VerificationFailed)?;
-            if !ok {
-                return Err(FrameworkError::VerificationFailed);
-            }
+        let ok = simulate::verify_circuit(&self.circuit, &self.target)
+            .map_err(|_| FrameworkError::VerificationFailed)?;
+        if !ok {
+            return Err(FrameworkError::VerificationFailed);
         }
         self.shared
             .counters
@@ -289,6 +285,40 @@ impl Recombined {
             strategy: self.strategy,
             objective: self.objective,
         })
+    }
+}
+
+/// Everything the pipeline produces for one target graph state: the
+/// artifact [`Recombined::verify`] closes the pipeline with.
+#[derive(Debug, Clone)]
+pub struct Compiled {
+    /// The verified generation circuit for the *original* target.
+    pub circuit: Circuit,
+    /// Evaluation metrics of `circuit`.
+    pub metrics: CircuitMetrics,
+    /// The partition (with LC sequence) that was used.
+    pub partition: Partition,
+    /// Per-subgraph compilation plans, aligned with `partition.blocks()`.
+    pub plans: Vec<SubgraphPlan>,
+    /// The Tetris schedule of the subgraph circuits.
+    pub schedule: Schedule,
+    /// The interleaved global emission ordering (transformed-graph vertices).
+    pub global_ordering: Vec<usize>,
+    /// Emitter budget Ne_limit that was resolved for this target.
+    pub ne_limit: usize,
+    /// Minimal emitter count Ne_min of the target (best known ordering).
+    pub ne_min: usize,
+    /// The recombination strategy whose candidate won.
+    pub strategy: RecombineStrategy,
+    /// The objective candidate circuits competed under.
+    pub objective: CompileObjective,
+}
+
+impl Compiled {
+    /// Per-photon and aggregate loss figures of the chosen circuit under
+    /// the configured hardware model (shorthand for `metrics.loss`).
+    pub fn loss_report(&self) -> &LossReport {
+        &self.metrics.loss
     }
 }
 

@@ -43,9 +43,8 @@ pub use engine::{ServeEngine, ServeError, ServeErrorKind, ServeOutcome, ServeRep
 pub use protocol::Request;
 pub use supervise::SupervisorOptions;
 
-/// The daemon's framework configuration — the corpus-bench settings
-/// (mirrors `epgs_bench::corpus_framework`, which this crate cannot depend
-/// on without a cycle: the bench crate's `serve_bench` drives this one).
+/// The daemon's compiler configuration, and the one copy of the corpus
+/// settings: `epgs_bench::corpus_framework` compiles with it too.
 pub fn default_config() -> epgs::FrameworkConfig {
     epgs::FrameworkConfig {
         partition: epgs_partition::PartitionSpec {
@@ -57,7 +56,6 @@ pub fn default_config() -> epgs::FrameworkConfig {
         },
         orderings_per_subgraph: 6,
         flexible_slack: 1,
-        verify: true,
         ..epgs::FrameworkConfig::default()
     }
 }

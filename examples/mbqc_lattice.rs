@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example mbqc_lattice`
 
-use epgs::{Framework, FrameworkConfig};
+use epgs::{FrameworkConfig, Pipeline};
 use epgs_circuit::usage_curve;
 use epgs_graph::generators;
 use epgs_hardware::HardwareModel;
@@ -31,12 +31,12 @@ fn plot_usage(times: &[f64], counts: &[usize], duration: f64) {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let hw = HardwareModel::quantum_dot();
     let g = generators::lattice(4, 5);
-    let fw = Framework::new(FrameworkConfig::default());
+    let pipeline = Pipeline::new(FrameworkConfig::default());
 
     // Budget sweep through the staged pipeline: the 4x5 lattice is
     // partitioned and leaf-compiled once; each budget point only re-runs
     // schedule → recombine → verify.
-    let planned = fw.pipeline().partition(&g).plan_leaves()?;
+    let planned = pipeline.partition(&g).plan_leaves()?;
     let ne_min = planned.ne_min();
     println!("4x5 lattice, Ne_min = {ne_min}\n");
 

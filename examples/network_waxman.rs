@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example network_waxman`
 
-use epgs::{Framework, FrameworkConfig};
+use epgs::{FrameworkConfig, Pipeline};
 use epgs_graph::{dot, generators};
 use epgs_partition::{partition_with_lc, PartitionSpec};
 use rand::rngs::StdRng;
@@ -42,8 +42,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         dot::to_dot(&p1.transformed, Some(&p1.block_of))
     );
 
-    let fw = Framework::new(FrameworkConfig::default());
-    let compiled = fw.compile(&g)?;
+    let pipeline = Pipeline::new(FrameworkConfig::default());
+    let compiled = pipeline.compile(&g)?;
     println!("{}", epgs::report::render(&compiled));
     Ok(())
 }

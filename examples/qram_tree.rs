@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example qram_tree`
 
-use epgs::{Framework, FrameworkConfig};
+use epgs::{FrameworkConfig, Pipeline};
 use epgs_circuit::circuit_metrics;
 use epgs_graph::generators;
 use epgs_hardware::HardwareModel;
@@ -15,7 +15,7 @@ use epgs_solver::{solve_baseline, BaselineOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let hw = HardwareModel::quantum_dot();
-    let fw = Framework::new(FrameworkConfig::default());
+    let pipeline = Pipeline::new(FrameworkConfig::default());
 
     println!(
         "{:>7} {:>14} {:>14} {:>12} {:>12}",
@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let g = generators::tree(n, 2);
         let base = solve_baseline(&g, &hw, &BaselineOptions::default())?;
         let base_m = circuit_metrics(&hw, &base.circuit);
-        let ours = fw.compile(&g)?;
+        let ours = pipeline.compile(&g)?;
         println!(
             "{:>7} {:>14} {:>14} {:>12.4} {:>12.4}",
             n,

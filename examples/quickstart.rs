@@ -45,11 +45,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("--- baseline (Li et al. / GraphiQ-style) ---");
     println!("{}", baseline.circuit);
 
-    // A Pipeline is a FrameworkConfig plus stage counters; it is the staged
-    // alternative to the one-shot `Framework::compile`, and both produce
-    // bit-identical circuits. Use the pipeline when you want to hold on to
-    // an intermediate artifact — every stage method takes `&self`, so one
-    // expensive prefix can fan out into many cheap suffixes.
+    // A Pipeline is a FrameworkConfig plus stage counters. `compile` runs
+    // every stage in one call; driving the stages by hand, as below, yields
+    // the same circuit and keeps each intermediate artifact — every stage
+    // method takes `&self`, so one expensive prefix can fan out into many
+    // cheap suffixes.
     let pipeline = Pipeline::new(
         FrameworkConfig::builder()
             .g_max(7)

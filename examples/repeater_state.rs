@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example repeater_state`
 
-use epgs::{Framework, FrameworkConfig};
+use epgs::{FrameworkConfig, Pipeline};
 use epgs_circuit::qasm;
 use epgs_graph::generators;
 
@@ -20,8 +20,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         g.edge_count()
     );
 
-    let fw = Framework::new(FrameworkConfig::default());
-    let compiled = fw.compile(&g)?;
+    let pipeline = Pipeline::new(FrameworkConfig::default());
+    let compiled = pipeline.compile(&g)?;
     println!("{}", epgs::report::render(&compiled));
 
     println!(

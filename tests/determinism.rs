@@ -20,46 +20,12 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use epgs::{Framework, FrameworkConfig};
+use epgs::Pipeline;
 use epgs_circuit::qasm::to_qasm;
 use epgs_corpus::CorpusSpec;
 use epgs_graph::{generators, Graph};
 use epgs_solver::reverse::{solve_with_ordering, solve_with_ordering_in, SolveOptions};
 use epgs_solver::SolverWorkspace;
-
-/// The evaluation-harness configuration (`epgs_bench::bench_framework`).
-fn family_framework() -> Framework {
-    Framework::new(FrameworkConfig {
-        partition: epgs_partition::PartitionSpec {
-            g_max: 7,
-            lc_budget: 8,
-            effort: 8,
-            seed: 0xdac2025,
-            ..Default::default()
-        },
-        orderings_per_subgraph: 8,
-        flexible_slack: 2,
-        verify: true,
-        ..FrameworkConfig::default()
-    })
-}
-
-/// The corpus-batch configuration (`epgs_bench::corpus_framework`).
-fn corpus_framework() -> Framework {
-    Framework::new(FrameworkConfig {
-        partition: epgs_partition::PartitionSpec {
-            g_max: 6,
-            lc_budget: 4,
-            effort: 5,
-            seed: 0xdac2025,
-            ..Default::default()
-        },
-        orderings_per_subgraph: 6,
-        flexible_slack: 1,
-        verify: true,
-        ..FrameworkConfig::default()
-    })
-}
 
 /// Representative instances of the three bench families (`epgs_bench`
 /// sweeps, trimmed to keep the double compile affordable). `lattice-60`
@@ -89,14 +55,16 @@ fn family_instances() -> Vec<(String, Graph)> {
 /// returning `(label, qasm)` pairs.
 fn compile_all() -> Vec<(String, String)> {
     let mut out = Vec::new();
-    let fw = family_framework();
+    let pipeline = epgs_bench::bench_framework();
     for (label, g) in family_instances() {
-        let compiled = fw.compile(&g).unwrap_or_else(|e| panic!("{label}: {e}"));
+        let compiled = pipeline
+            .compile(&g)
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
         out.push((label, to_qasm(&compiled.circuit)));
     }
-    let cfw = corpus_framework();
+    let corpus_pipeline = Pipeline::new(epgs_serve::default_config());
     for inst in CorpusSpec::default_corpus().instances() {
-        let compiled = cfw
+        let compiled = corpus_pipeline
             .compile(&inst.graph)
             .unwrap_or_else(|e| panic!("{}: {e}", inst.id));
         out.push((format!("corpus-{}", inst.id), to_qasm(&compiled.circuit)));

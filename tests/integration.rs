@@ -6,14 +6,14 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use epgs::{EmitterBudget, Framework, FrameworkConfig};
+use epgs::{EmitterBudget, FrameworkConfig, Pipeline};
 use epgs_circuit::simulate::verify_circuit;
 use epgs_graph::{generators, Graph};
 use epgs_hardware::HardwareModel;
 use epgs_solver::{solve_baseline, BaselineOptions};
 
-fn quick_framework() -> Framework {
-    Framework::new(FrameworkConfig {
+fn quick_config() -> FrameworkConfig {
+    FrameworkConfig {
         partition: epgs_partition::PartitionSpec {
             g_max: 7,
             lc_budget: 4,
@@ -24,7 +24,7 @@ fn quick_framework() -> Framework {
         orderings_per_subgraph: 5,
         flexible_slack: 1,
         ..FrameworkConfig::default()
-    })
+    }
 }
 
 fn family_targets() -> Vec<(String, Graph)> {
@@ -55,9 +55,11 @@ fn family_targets() -> Vec<(String, Graph)> {
 
 #[test]
 fn framework_compiles_and_independently_verifies_every_family() {
-    let fw = quick_framework();
+    let pipeline = Pipeline::new(quick_config());
     for (name, g) in family_targets() {
-        let compiled = fw.compile(&g).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let compiled = pipeline
+            .compile(&g)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(
             verify_circuit(&compiled.circuit, &g).unwrap(),
             "{name}: independent verification failed"
@@ -87,9 +89,9 @@ fn baseline_compiles_and_verifies_every_family() {
 fn framework_never_uses_more_ee_cnots_than_edges_plus_overhead() {
     // Every edge can be realized by at most one emitter-emitter interaction
     // plus bounded bookkeeping; a gross violation signals a regression.
-    let fw = quick_framework();
+    let pipeline = Pipeline::new(quick_config());
     for (name, g) in family_targets() {
-        let compiled = fw.compile(&g).unwrap();
+        let compiled = pipeline.compile(&g).unwrap();
         let bound = 2 * g.edge_count() + g.vertex_count();
         assert!(
             compiled.metrics.ee_two_qubit_count <= bound,
@@ -101,14 +103,25 @@ fn framework_never_uses_more_ee_cnots_than_edges_plus_overhead() {
 
 #[test]
 fn bigger_budget_never_slows_the_schedule() {
-    let fw = quick_framework();
+    let pipeline = Pipeline::new(quick_config());
     for (name, g) in [
         ("lattice 4x4", generators::lattice(4, 4)),
         ("tree 15/2", generators::tree(15, 2)),
     ] {
-        let ne_min = fw.ne_min(&g);
-        let tight = fw.compile_with_budget(&g, ne_min.max(1)).unwrap();
-        let loose = fw.compile_with_budget(&g, 2 * ne_min.max(1)).unwrap();
+        let planned = pipeline.partition(&g).plan_leaves().unwrap();
+        let ne_min = planned.ne_min();
+        let tight = planned
+            .schedule(ne_min)
+            .recombine()
+            .unwrap()
+            .verify()
+            .unwrap();
+        let loose = planned
+            .schedule(2 * ne_min)
+            .recombine()
+            .unwrap()
+            .verify()
+            .unwrap();
         assert!(
             loose.schedule.makespan <= tight.schedule.makespan + 1e-9,
             "{name}: schedule got worse with more emitters"
@@ -120,13 +133,13 @@ fn bigger_budget_never_slows_the_schedule() {
 fn framework_matches_or_beats_baseline_on_cnots_for_most_targets() {
     // The headline claim at small scale: across the families, the framework
     // reduces ee-CNOTs relative to the baseline in aggregate.
-    let fw = quick_framework();
+    let pipeline = Pipeline::new(quick_config());
     let hw = HardwareModel::quantum_dot();
     let mut base_total = 0usize;
     let mut ours_total = 0usize;
     for (_, g) in family_targets() {
         let base = solve_baseline(&g, &hw, &BaselineOptions::default()).unwrap();
-        let ours = fw.compile(&g).unwrap();
+        let ours = pipeline.compile(&g).unwrap();
         base_total += base.circuit.ee_two_qubit_count();
         ours_total += ours.metrics.ee_two_qubit_count;
     }
@@ -140,11 +153,11 @@ fn framework_matches_or_beats_baseline_on_cnots_for_most_targets() {
 fn factor_budgets_match_paper_settings() {
     let g = generators::lattice(3, 4);
     for factor in [1.5, 2.0] {
-        let fw = Framework::new(FrameworkConfig {
+        let pipeline = Pipeline::new(FrameworkConfig {
             emitter_budget: EmitterBudget::Factor(factor),
-            ..quick_framework().config().clone()
+            ..quick_config()
         });
-        let compiled = fw.compile(&g).unwrap();
+        let compiled = pipeline.compile(&g).unwrap();
         let expect = ((compiled.ne_min as f64 * factor).ceil() as usize).max(1);
         assert_eq!(compiled.ne_limit, expect);
     }
@@ -158,11 +171,11 @@ fn hardware_models_are_interchangeable() {
         HardwareModel::siv_center(),
         HardwareModel::rydberg(),
     ] {
-        let fw = Framework::new(FrameworkConfig {
+        let pipeline = Pipeline::new(FrameworkConfig {
             hardware: hw.clone(),
-            ..quick_framework().config().clone()
+            ..quick_config()
         });
-        let compiled = fw.compile(&generators::tree(10, 2)).unwrap();
+        let compiled = pipeline.compile(&generators::tree(10, 2)).unwrap();
         assert!(compiled.metrics.duration > 0.0, "{}", hw.name);
     }
 }

@@ -1,29 +1,12 @@
 //! Hardware-aware objective layer: bit-identity of the default, platform
 //! divergence, determinism, and the loss figures flowing into reports.
 
-use epgs::{BatchCompiler, BatchInstance, CompileObjective, Framework, FrameworkConfig, Pipeline};
+use epgs::{BatchCompiler, BatchInstance, CompileObjective, FrameworkConfig, Pipeline};
 use epgs_circuit::simulate::verify_circuit;
 use epgs_corpus::{CorpusSpec, FamilyKind};
 use epgs_graph::generators;
 use epgs_hardware::HardwareModel;
-
-/// The `corpus_framework` configuration of the bench crate, inlined (the
-/// root test package does not depend on `epgs-bench`).
-fn corpus_config() -> FrameworkConfig {
-    FrameworkConfig {
-        partition: epgs_partition::PartitionSpec {
-            g_max: 6,
-            lc_budget: 4,
-            effort: 5,
-            seed: 0xdac2025,
-            ..Default::default()
-        },
-        orderings_per_subgraph: 6,
-        flexible_slack: 1,
-        verify: true,
-        ..FrameworkConfig::default()
-    }
-}
+use epgs_serve::default_config;
 
 /// The default-corpus instance `watts_strogatz-n10-s3` (see
 /// `CorpusSpec::default_corpus`), a known strategy-divergence case.
@@ -42,10 +25,10 @@ fn emitters_objective_is_bit_identical_to_default() {
     // The acceptance bar for the objective layer: making the historic
     // behavior an explicit objective must not change a single bit of it.
     let g = generators::lattice(3, 4);
-    let implicit = Framework::new(corpus_config()).compile(&g).unwrap();
-    let explicit = Framework::new(FrameworkConfig {
+    let implicit = Pipeline::new(default_config()).compile(&g).unwrap();
+    let explicit = Pipeline::new(FrameworkConfig {
         objective: CompileObjective::Emitters,
-        ..corpus_config()
+        ..default_config()
     })
     .compile(&g)
     .unwrap();
@@ -68,9 +51,14 @@ fn presets_select_different_strategies_on_a_default_corpus_instance() {
         let config = FrameworkConfig {
             hardware: hw.clone(),
             objective: CompileObjective::Duration(hw),
-            ..corpus_config()
+            ..default_config()
         };
-        let c = Framework::new(config).compile_with_budget(&g, 3).unwrap();
+        let c = Pipeline::new(config)
+            .partition(&g)
+            .plan_leaves()
+            .and_then(|p| p.schedule(3).recombine())
+            .and_then(|r| r.verify())
+            .unwrap();
         assert!(verify_circuit(&c.circuit, &g).unwrap());
         compiled.push(c);
     }
@@ -98,11 +86,11 @@ fn objective_strategy_selection_is_deterministic() {
     ] {
         let config = FrameworkConfig {
             objective: objective.clone(),
-            ..corpus_config()
+            ..default_config()
         };
-        let fw = Framework::new(config);
-        let a = fw.compile(&g).unwrap();
-        let b = fw.compile(&g).unwrap();
+        let pipeline = Pipeline::new(config);
+        let a = pipeline.compile(&g).unwrap();
+        let b = pipeline.compile(&g).unwrap();
         assert_eq!(a.circuit, b.circuit, "{}", objective.kind_name());
         assert_eq!(a.strategy, b.strategy, "{}", objective.kind_name());
         assert_eq!(a.objective, objective);
@@ -119,7 +107,7 @@ fn duration_objective_never_recombines_slower_than_emitters() {
     // check of current behavior rather than a theorem: if it ever fails,
     // check whether cleanup shortened the default's winner more — that
     // is legal — before suspecting the objective layer.
-    let pipeline = Pipeline::new(corpus_config());
+    let pipeline = Pipeline::new(default_config());
     for g in [
         divergent_instance(),
         generators::lattice(3, 4),
@@ -137,7 +125,7 @@ fn duration_objective_never_recombines_slower_than_emitters() {
 
 #[test]
 fn per_call_objective_override_does_not_disturb_the_config() {
-    let pipeline = Pipeline::new(corpus_config());
+    let pipeline = Pipeline::new(default_config());
     let g = generators::lattice(3, 3);
     let scheduled = pipeline.partition(&g).plan_leaves().unwrap().schedule(2);
     let override_obj = CompileObjective::Loss(HardwareModel::siv_center());
@@ -153,7 +141,7 @@ fn batch_reports_carry_hardware_objective_and_loss_figures() {
     let config = FrameworkConfig {
         hardware: HardwareModel::nv_center(),
         objective: CompileObjective::Loss(HardwareModel::nv_center()),
-        ..corpus_config()
+        ..default_config()
     };
     let batch = BatchCompiler::new(config);
     let report = batch.run(&[
@@ -184,7 +172,7 @@ fn batch_reports_carry_hardware_objective_and_loss_figures() {
 
     // The default Emitters objective scores under the configured model
     // and therefore records no separate scoring platform or weights.
-    let default_report = BatchCompiler::new(corpus_config()).run(&[BatchInstance::new(
+    let default_report = BatchCompiler::new(default_config()).run(&[BatchInstance::new(
         "p5",
         "path",
         generators::path(5),
@@ -202,7 +190,7 @@ fn batch_reports_carry_hardware_objective_and_loss_figures() {
             duration: 0.25,
             loss: 10.0,
         },
-        ..corpus_config()
+        ..default_config()
     })
     .run(&[BatchInstance::new("p5", "path", generators::path(5))]);
     assert_eq!(weighted.objective_weights, Some([2.0, 0.25, 10.0]));
@@ -215,7 +203,7 @@ fn batch_reports_carry_hardware_objective_and_loss_figures() {
 fn distinct_objectives_cache_apart_in_the_batch_engine() {
     // The artifact cache must never serve a plan selected under one
     // objective to a run with another: objectives fingerprint apart.
-    let base = corpus_config();
+    let base = default_config();
     let a = epgs::config_fingerprint(&base);
     let b = epgs::config_fingerprint(&FrameworkConfig {
         objective: CompileObjective::Duration(HardwareModel::quantum_dot()),
@@ -236,7 +224,7 @@ fn distinct_objectives_cache_apart_in_the_batch_engine() {
 
 #[test]
 fn compiled_loss_report_matches_metrics() {
-    let c = Framework::new(corpus_config())
+    let c = Pipeline::new(default_config())
         .compile(&generators::tree(10, 2))
         .unwrap();
     let report = c.loss_report();

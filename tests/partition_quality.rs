@@ -27,18 +27,13 @@
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use epgs::{Compiled, Framework, FrameworkConfig};
+use epgs::{Compiled, FrameworkConfig, Pipeline};
+use epgs_bench::SEED;
 use epgs_circuit::qasm::to_qasm;
 use epgs_corpus::CorpusSpec;
 use epgs_graph::{generators, Graph};
 use epgs_partition::fm::fm_partition;
 use epgs_partition::{multilevel_partition, MultilevelOptions, PartitionScheme};
-
-/// The evaluation-harness seed (`epgs_bench::SEED`).
-const SEED: u64 = 0xdac2025;
 
 /// FNV-1a, 64 bit — matches the hashes pinned in
 /// `tests/data/flat_qasm_fnv.txt`.
@@ -51,40 +46,11 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The evaluation-harness configuration (`epgs_bench::bench_framework`)
-/// pinned to an explicit scheme.
-fn family_framework(scheme: PartitionScheme) -> Framework {
-    Framework::new(FrameworkConfig {
-        partition: epgs_partition::PartitionSpec {
-            g_max: 7,
-            lc_budget: 8,
-            effort: 8,
-            seed: SEED,
-            scheme,
-        },
-        orderings_per_subgraph: 8,
-        flexible_slack: 2,
-        verify: true,
-        ..FrameworkConfig::default()
-    })
-}
-
-/// The corpus-batch configuration (`epgs_bench::corpus_framework`) pinned
-/// to an explicit scheme.
-fn corpus_framework(scheme: PartitionScheme) -> Framework {
-    Framework::new(FrameworkConfig {
-        partition: epgs_partition::PartitionSpec {
-            g_max: 6,
-            lc_budget: 4,
-            effort: 5,
-            seed: SEED,
-            scheme,
-        },
-        orderings_per_subgraph: 6,
-        flexible_slack: 1,
-        verify: true,
-        ..FrameworkConfig::default()
-    })
+/// `config` pinned to an explicit partition scheme.
+fn with_scheme(config: &FrameworkConfig, scheme: PartitionScheme) -> Pipeline {
+    let mut config = config.clone();
+    config.partition.scheme = scheme;
+    Pipeline::new(config)
 }
 
 /// Debug builds drop the two most expensive flat compiles to keep the
@@ -95,42 +61,36 @@ fn debug_trimmed(label: &str) -> bool {
     cfg!(debug_assertions) && matches!(label, "lattice-44" | "lattice-60")
 }
 
-/// The full `epgs_bench` sweeps, reconstructed locally (the test package
-/// does not depend on the bench crate): lattices 12–60, trees 10–40,
-/// Waxman 10–35 with the bench seeding.
+/// The full `epgs_bench` sweeps, labelled `family-n`: lattices 12–60,
+/// trees 10–40, Waxman 10–35.
 fn sweep_instances() -> Vec<(String, Graph)> {
-    let mut out = Vec::new();
-    for k in [3usize, 5, 7, 9, 11, 13, 15] {
-        out.push((format!("lattice-{}", 4 * k), generators::lattice(4, k)));
-    }
-    for n in [10usize, 16, 22, 28, 34, 40] {
-        out.push((format!("tree-{n}"), generators::tree(n, 2)));
-    }
-    for n in [10usize, 15, 20, 25, 30, 35] {
-        let mut rng = StdRng::seed_from_u64(SEED ^ n as u64);
-        out.push((
-            format!("random-{n}"),
-            generators::waxman(n, 0.5, 0.2, &mut rng),
-        ));
-    }
-    out
+    epgs_bench::all_families()
+        .into_iter()
+        .flat_map(|(family, sweep)| {
+            sweep
+                .into_iter()
+                .map(move |(n, g)| (format!("{family}-{n}"), g))
+        })
+        .collect()
 }
 
 /// Compiles every sweep instance (family config) and every default-corpus
 /// instance (corpus config) under the given scheme.
 fn compile_all(scheme: PartitionScheme) -> Vec<(String, Compiled)> {
     let mut out = Vec::new();
-    let fw = family_framework(scheme.clone());
+    let pipeline = with_scheme(epgs_bench::bench_framework().config(), scheme.clone());
     for (label, g) in sweep_instances() {
         if debug_trimmed(&label) {
             continue;
         }
-        let compiled = fw.compile(&g).unwrap_or_else(|e| panic!("{label}: {e}"));
+        let compiled = pipeline
+            .compile(&g)
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
         out.push((label, compiled));
     }
-    let cfw = corpus_framework(scheme);
+    let corpus_pipeline = with_scheme(&epgs_serve::default_config(), scheme);
     for inst in CorpusSpec::default_corpus().instances() {
-        let compiled = cfw
+        let compiled = corpus_pipeline
             .compile(&inst.graph)
             .unwrap_or_else(|e| panic!("{}: {e}", inst.id));
         out.push((format!("corpus-{}", inst.id), compiled));

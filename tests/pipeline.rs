@@ -1,13 +1,12 @@
 //! Staged-pipeline contract tests: the explicit Partition → Plan → Schedule
 //! → Recombine → Verify path must be equivalent to the monolithic
-//! `Framework::compile` wrapper, artifacts must be reusable and
-//! deterministic, and a k-budget sweep must run the expensive prefix
-//! exactly once.
+//! `Pipeline::compile` call, artifacts must be reusable and deterministic,
+//! and a k-budget sweep must run the expensive prefix exactly once.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use epgs::{Compiled, Framework, FrameworkConfig, Pipeline, RecombineStrategy};
+use epgs::{Compiled, FrameworkConfig, Pipeline, RecombineStrategy};
 use epgs_circuit::simulate::verify_circuit;
 use epgs_graph::{generators, Graph};
 
@@ -34,6 +33,16 @@ fn equivalence_targets() -> Vec<(String, Graph)> {
     ]
 }
 
+/// A full compile of `g` through a fresh pipeline at an explicit budget.
+fn compile_at(g: &Graph, budget: usize) -> Compiled {
+    Pipeline::new(quick_config())
+        .partition(g)
+        .plan_leaves()
+        .and_then(|planned| planned.schedule(budget).recombine())
+        .and_then(|r| r.verify())
+        .unwrap_or_else(|e| panic!("budget {budget}: {e}"))
+}
+
 fn assert_same_compiled(name: &str, a: &Compiled, b: &Compiled) {
     assert_eq!(a.circuit, b.circuit, "{name}: circuit ops differ");
     assert_eq!(a.metrics, b.metrics, "{name}: metrics differ");
@@ -49,18 +58,18 @@ fn assert_same_compiled(name: &str, a: &Compiled, b: &Compiled) {
 
 #[test]
 fn staged_pipeline_equals_monolithic_compile_on_every_family() {
-    let config = quick_config();
-    let fw = Framework::new(config.clone());
     for (name, g) in equivalence_targets() {
-        let monolith = fw.compile(&g).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let monolith = Pipeline::new(quick_config())
+            .compile(&g)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
 
-        let pipeline = Pipeline::new(config.clone());
+        let pipeline = Pipeline::new(quick_config());
         let planned = pipeline
             .partition(&g)
             .plan_leaves()
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let staged = planned
-            .schedule(config.emitter_budget.resolve(planned.ne_min()))
+            .schedule(planned.configured_budget())
             .recombine()
             .and_then(|r| r.verify())
             .unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -95,23 +104,29 @@ fn budget_sweep_runs_partition_and_leaf_compile_exactly_once() {
     assert_eq!(counts.recombine, budgets.len());
     assert_eq!(counts.verify, budgets.len());
 
-    // Each sweep point must equal the pointwise full compile at that budget.
-    let fw = Framework::new(quick_config());
+    // Each sweep point must equal a fresh full compile at that budget.
     for (compiled, &budget) in swept.iter().zip(&budgets) {
         assert_eq!(compiled.ne_limit, budget);
-        let pointwise = fw.compile_with_budget(&g, budget).unwrap();
+        let pointwise = compile_at(&g, budget);
         assert_same_compiled(&format!("budget {budget}"), compiled, &pointwise);
     }
 }
 
 #[test]
-fn framework_sweep_helper_shares_the_prefix_too() {
-    let fw = Framework::new(quick_config());
+fn pipeline_sweep_helper_shares_the_prefix_too() {
+    let pipeline = Pipeline::new(quick_config());
     let g = generators::tree(15, 2);
-    let swept = fw.sweep(&g, &[1, 3]).unwrap();
+    let swept = pipeline.sweep(&g, &[1, 3]).unwrap();
     assert_eq!(swept.len(), 2);
-    for compiled in &swept {
+    let counts = pipeline.counters();
+    assert_eq!((counts.partition, counts.plan), (1, 1));
+    for (compiled, budget) in swept.iter().zip([1, 3]) {
         assert!(verify_circuit(&compiled.circuit, &g).unwrap());
+        assert_same_compiled(
+            &format!("sweep budget {budget}"),
+            compiled,
+            &compile_at(&g, budget),
+        );
     }
     // More emitters never slow the packed schedule.
     assert!(swept[1].schedule.makespan <= swept[0].schedule.makespan + 1e-9);

@@ -1,7 +1,7 @@
 //! Robustness and failure-injection tests: malformed inputs, adversarial
 //! configurations, and determinism guarantees across the public API surface.
 
-use epgs::{EmitterBudget, Framework, FrameworkConfig};
+use epgs::{EmitterBudget, FrameworkConfig, Pipeline};
 use epgs_circuit::simulate::{run, verify_circuit, ListedOutcomes};
 use epgs_graph::{generators, Graph};
 use epgs_hardware::HardwareModel;
@@ -12,9 +12,9 @@ use epgs_solver::SolverError;
 #[test]
 fn framework_is_deterministic_end_to_end() {
     let g = generators::lattice(3, 4);
-    let fw = Framework::new(FrameworkConfig::default());
-    let a = fw.compile(&g).unwrap();
-    let b = fw.compile(&g).unwrap();
+    let pipeline = Pipeline::new(FrameworkConfig::default());
+    let a = pipeline.compile(&g).unwrap();
+    let b = pipeline.compile(&g).unwrap();
     assert_eq!(a.circuit, b.circuit);
     assert_eq!(a.global_ordering, b.global_ordering);
     assert_eq!(a.partition.lc_sequence, b.partition.lc_sequence);
@@ -25,22 +25,22 @@ fn absurdly_small_budget_still_produces_correct_circuits() {
     // An Absolute(1) budget on a graph needing 4 emitters: the solver grows
     // the pool as physics demands; the circuit stays correct.
     let g = generators::lattice(4, 4);
-    let fw = Framework::new(FrameworkConfig {
+    let pipeline = Pipeline::new(FrameworkConfig {
         emitter_budget: EmitterBudget::Absolute(1),
         ..FrameworkConfig::default()
     });
-    let c = fw.compile(&g).unwrap();
+    let c = pipeline.compile(&g).unwrap();
     assert!(verify_circuit(&c.circuit, &g).unwrap());
 }
 
 #[test]
 fn huge_budget_does_not_bloat_the_circuit_with_idle_emitter_gates() {
     let g = generators::path(6);
-    let fw = Framework::new(FrameworkConfig {
+    let pipeline = Pipeline::new(FrameworkConfig {
         emitter_budget: EmitterBudget::Absolute(12),
         ..FrameworkConfig::default()
     });
-    let c = fw.compile(&g).unwrap();
+    let c = pipeline.compile(&g).unwrap();
     // A path needs one working emitter; idle pool wires must stay silent.
     assert_eq!(c.metrics.ee_two_qubit_count, 0);
     assert!(verify_circuit(&c.circuit, &g).unwrap());
@@ -48,10 +48,10 @@ fn huge_budget_does_not_bloat_the_circuit_with_idle_emitter_gates() {
 
 #[test]
 fn one_vertex_and_empty_targets() {
-    let fw = Framework::new(FrameworkConfig::default());
-    let single = fw.compile(&Graph::new(1)).unwrap();
+    let pipeline = Pipeline::new(FrameworkConfig::default());
+    let single = pipeline.compile(&Graph::new(1)).unwrap();
     assert_eq!(single.circuit.emission_count(), 1);
-    let empty4 = fw.compile(&Graph::new(4)).unwrap();
+    let empty4 = pipeline.compile(&Graph::new(4)).unwrap();
     assert_eq!(empty4.metrics.ee_two_qubit_count, 0);
 }
 
@@ -82,7 +82,7 @@ fn adversarial_outcome_patterns_all_yield_target() {
 fn degenerate_partition_configs_do_not_crash() {
     let g = generators::lattice(3, 3);
     for (g_max, lc, effort) in [(1usize, 0usize, 1usize), (2, 1, 1), (100, 0, 1)] {
-        let fw = Framework::new(FrameworkConfig {
+        let pipeline = Pipeline::new(FrameworkConfig {
             partition: PartitionSpec {
                 g_max,
                 lc_budget: lc,
@@ -94,7 +94,7 @@ fn degenerate_partition_configs_do_not_crash() {
             flexible_slack: 0,
             ..FrameworkConfig::default()
         });
-        let c = fw
+        let c = pipeline
             .compile(&g)
             .unwrap_or_else(|e| panic!("g_max={g_max}: {e}"));
         assert!(verify_circuit(&c.circuit, &g).unwrap(), "g_max={g_max}");
@@ -123,11 +123,11 @@ fn all_hardware_presets_keep_relative_metric_ordering() {
         HardwareModel::quantum_dot(),
         HardwareModel::rydberg(),
     ] {
-        let fw = Framework::new(FrameworkConfig {
+        let pipeline = Pipeline::new(FrameworkConfig {
             hardware: hw.clone(),
             ..FrameworkConfig::default()
         });
-        let c = fw.compile(&g).unwrap();
+        let c = pipeline.compile(&g).unwrap();
         losses.push((hw.photon_loss_per_tau, c.metrics.loss.mean_photon_loss));
     }
     // Not a strict theorem across different compiled circuits, but the two
@@ -151,7 +151,7 @@ fn dense_graph_torture() {
     for v in (0..10).step_by(2) {
         g.remove_edge(v, v + 1).unwrap();
     }
-    let fw = Framework::new(FrameworkConfig::default());
-    let c = fw.compile(&g).unwrap();
+    let pipeline = Pipeline::new(FrameworkConfig::default());
+    let c = pipeline.compile(&g).unwrap();
     assert!(verify_circuit(&c.circuit, &g).unwrap());
 }
