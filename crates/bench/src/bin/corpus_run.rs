@@ -2,8 +2,8 @@
 //!
 //! Each pass compiles every instance of the corpus through one shared
 //! [`BatchCompiler`]; pass 1 populates the content-addressed artifact cache
-//! and later passes demonstrate it (every instance's partition +
-//! leaf-planning prefix is served from the cache). The emitted JSON holds
+//! and later passes demonstrate it (every instance's verified result is
+//! served from the cache). The emitted JSON holds
 //! one report per pass plus the cumulative cache counters.
 //!
 //! Run with:

@@ -6,17 +6,29 @@
 //! parallel, deduplicating work through an [`ArtifactCache`] keyed by the
 //! *content* of each job — the label-invariant [`canonical_hash`] of the
 //! target graph plus a [`config_fingerprint`] of the framework
-//! configuration. A
-//! cache hit reuses the stored [`Planned`] artifact, skipping the two
-//! expensive pipeline stages (partition search and per-leaf solving) and
-//! rerunning only the cheap suffix (schedule → recombine → verify).
+//! configuration. The two cache layers hold different artifacts:
+//!
+//! - The in-memory [`ArtifactCache`] holds the finished, verified
+//!   [`Compiled`] result behind an [`Arc`]. A memory hit costs the
+//!   canonical hash, a bucket lookup, an exact-graph compare and an `Arc`
+//!   clone; no pipeline stage runs.
+//! - The optional on-disk [`ArtifactStore`] holds the [`Planned`](crate::Planned) prefix.
+//!   A disk hit decodes it, skipping the two expensive stages (partition
+//!   search and per-leaf solving), reruns the cheap suffix (schedule →
+//!   recombine → verify) and promotes the verified result into memory.
+//!
+//! Only a miss runs the whole pipeline; it writes its `Planned` prefix to
+//! disk and its verified result to memory. Degraded results, suffix
+//! failures and requests whose deadline passed stay out of both layers,
+//! so every circuit served was verified against the exact graph it is
+//! served for.
 //!
 //! Because Weisfeiler–Lehman hashing is one-sided (equal hashes do not
 //! prove equal graphs), every lookup confirms the candidate entry by exact
 //! graph comparison before reuse: a hash bucket shared by two distinct
 //! labelings is observable in [`CacheStats::bucket_collisions`] but can
 //! never leak a wrong artifact. A corrupted entry — one whose stored
-//! artifact no longer matches its own graph — is discarded on lookup and
+//! result no longer matches its own graph — is discarded on lookup and
 //! the instance recompiles.
 
 use std::collections::HashMap;
@@ -36,7 +48,7 @@ use epgs_partition::{FaultHook, InjectedFault, SearchControl};
 use crate::config::{EmitterBudget, FrameworkConfig};
 use crate::error::FrameworkError;
 use crate::faults::{self, lock_recover, FaultKind, FaultPlan, RequestCtx};
-use crate::stages::{Compiled, Pipeline, Planned, RecombineStrategy};
+use crate::stages::{Compiled, Pipeline, RecombineStrategy};
 use crate::store::{ArtifactStore, StoreStats};
 
 /// Stable 64-bit fingerprint of every compilation-relevant configuration
@@ -123,19 +135,19 @@ pub struct CacheKey {
     pub config: u64,
 }
 
-/// One cached prefix: the exact graph it was computed for and its
-/// [`Planned`] artifact.
+/// One cached result: the exact graph it was compiled for and its
+/// verified [`Compiled`] artifact.
 #[derive(Debug, Clone)]
 struct CacheEntry {
     graph: Graph,
-    planned: Planned,
+    compiled: Arc<Compiled>,
     last_used: u64,
 }
 
 /// Cumulative counters of one [`ArtifactCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups that reused a stored artifact.
+    /// Lookups that reused a stored result.
     pub hits: usize,
     /// Lookups that found nothing reusable.
     pub misses: usize,
@@ -145,17 +157,17 @@ pub struct CacheStats {
     /// Entries dropped — by the LRU capacity bound or by explicit
     /// [`ArtifactCache::evict`] / [`ArtifactCache::clear`] calls.
     pub evictions: usize,
-    /// Entries discarded because their artifact no longer matched their
+    /// Entries discarded because their result no longer matched their
     /// graph (corruption guard) — counted within `misses`.
     pub corrupt_discarded: usize,
 }
 
-/// Content-addressed store of [`Planned`] artifacts with an LRU capacity
-/// bound.
+/// Content-addressed store of verified [`Compiled`] results with an LRU
+/// capacity bound.
 ///
 /// Buckets are keyed by [`CacheKey`]; each bucket holds the entries for the
 /// distinct exact graphs that share the key (normally one). Lookup is
-/// hit-only-on-exact-match, so the cache can never substitute an artifact
+/// hit-only-on-exact-match, so the cache can never substitute a result
 /// across labelings, and a corrupted entry degrades to a recompile instead
 /// of a panic.
 #[derive(Debug)]
@@ -196,12 +208,12 @@ impl ArtifactCache {
         self.stats
     }
 
-    /// Looks up the artifact for exactly `graph` under `key`.
+    /// Looks up the verified result for exactly `graph` under `key`.
     ///
     /// Entries under the right key but for a different exact graph (a
-    /// relabeling or WL collision) do not hit; an entry whose artifact
-    /// fails the self-consistency check is discarded.
-    pub fn lookup(&mut self, key: CacheKey, graph: &Graph) -> Option<Planned> {
+    /// relabeling or WL collision) do not hit; an entry whose result was
+    /// verified against a graph other than its own is discarded.
+    pub fn lookup(&mut self, key: CacheKey, graph: &Graph) -> Option<Arc<Compiled>> {
         self.clock += 1;
         let clock = self.clock;
         let bucket = match self.buckets.get_mut(&key) {
@@ -213,13 +225,13 @@ impl ArtifactCache {
         };
         // Corruption guard: an entry must still describe its own graph.
         let before = bucket.len();
-        bucket.retain(|e| e.planned.target() == &e.graph);
+        bucket.retain(|e| *e.compiled.target == e.graph);
         self.stats.corrupt_discarded += before - bucket.len();
         self.entries -= before - bucket.len();
         if let Some(entry) = bucket.iter_mut().find(|e| &e.graph == graph) {
             entry.last_used = clock;
             self.stats.hits += 1;
-            return Some(entry.planned.clone());
+            return Some(Arc::clone(&entry.compiled));
         }
         if !bucket.is_empty() {
             self.stats.bucket_collisions += 1;
@@ -230,22 +242,22 @@ impl ArtifactCache {
         None
     }
 
-    /// Stores `planned` for `graph` under `key`, evicting the
+    /// Stores `compiled` for `graph` under `key`, evicting the
     /// least-recently-used entry when the capacity bound is exceeded.
     ///
-    /// Inserting an artifact that does not belong to `graph` is not an
-    /// error here: the lookup-time corruption guard will discard it.
-    pub fn insert(&mut self, key: CacheKey, graph: Graph, planned: Planned) {
+    /// Inserting a result that does not belong to `graph` is not an error
+    /// here: the lookup-time corruption guard will discard it.
+    pub fn insert(&mut self, key: CacheKey, graph: Graph, compiled: Arc<Compiled>) {
         self.clock += 1;
         let bucket = self.buckets.entry(key).or_default();
         if let Some(entry) = bucket.iter_mut().find(|e| e.graph == graph) {
-            entry.planned = planned;
+            entry.compiled = compiled;
             entry.last_used = self.clock;
             return;
         }
         bucket.push(CacheEntry {
             graph,
-            planned,
+            compiled,
             last_used: self.clock,
         });
         self.entries += 1;
@@ -317,13 +329,15 @@ impl BatchInstance {
     }
 }
 
-/// Whether an instance reused a cached prefix or compiled it fresh.
+/// Whether an instance reused a cached artifact or compiled it fresh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOutcome {
-    /// Partition + leaf planning were served from the in-memory cache.
+    /// The verified result was served from the in-memory cache; no
+    /// pipeline stage ran.
     Hit,
-    /// Served from the on-disk [`ArtifactStore`] (and promoted into the
-    /// in-memory cache).
+    /// Partition + leaf planning were served from the on-disk
+    /// [`ArtifactStore`]; the suffix reran and the verified result was
+    /// promoted into the in-memory cache.
     DiskHit,
     /// The full pipeline ran.
     Miss,
@@ -677,8 +691,8 @@ impl BatchReport {
 ///
 /// # Examples
 ///
-/// Two jobs over the same graph: the second reuses the first's partition +
-/// leaf-planning prefix through the content-addressed cache.
+/// Two jobs over the same graph: the second reuses the first's verified
+/// result through the content-addressed cache.
 ///
 /// ```
 /// use epgs::{BatchCompiler, BatchInstance, FrameworkConfig};
@@ -824,7 +838,8 @@ impl BatchCompiler {
 
     /// Compiles one instance, going through the artifact cache.
     ///
-    /// Returns the instance report and, on success, the compiled artifact.
+    /// Returns the instance report and, on success, the verified result —
+    /// shared with the in-memory cache, so a hit is an `Arc` clone.
     /// Compilation errors are captured in the report, not propagated —
     /// batch runs keep going.
     pub fn compile_instance(
@@ -832,7 +847,7 @@ impl BatchCompiler {
         id: &str,
         family: &str,
         graph: &Graph,
-    ) -> (InstanceReport, Option<Compiled>) {
+    ) -> (InstanceReport, Option<Arc<Compiled>>) {
         self.compile_instance_ctx(id, family, graph, &RequestCtx::default())
     }
 
@@ -840,48 +855,69 @@ impl BatchCompiler {
     /// deadline is checked cooperatively between pipeline stages (a
     /// [`FrameworkError::DeadlineExceeded`] report, `timed_out` set) and
     /// inside the partition search (which truncates to its incumbent —
-    /// `degraded` set — instead of failing). Degraded plans are never
-    /// cached or persisted.
+    /// `degraded` set — instead of failing). An expired deadline cancels
+    /// a memory hit too. Degraded results are never cached or persisted,
+    /// and neither are results that failed or timed out after planning.
     pub fn compile_instance_ctx(
         &self,
         id: &str,
         family: &str,
         graph: &Graph,
         ctx: &RequestCtx,
-    ) -> (InstanceReport, Option<Compiled>) {
+    ) -> (InstanceReport, Option<Arc<Compiled>>) {
         self.compile_with_hash(id, family, graph, canonical_hash(graph), ctx)
     }
 
-    /// [`BatchCompiler::compile_instance`] with the WL hash precomputed —
-    /// [`BatchCompiler::run`] groups instances by that hash first, so
-    /// recomputing it per member would double the refinement work.
-    fn compile_with_hash(
+    /// [`BatchCompiler::compile_instance_ctx`] with the WL hash
+    /// precomputed, for callers that already hold it ([`BatchCompiler::run`]
+    /// groups instances by it; the serve engine keys its in-flight table
+    /// by it), so the refinement runs once per request.
+    ///
+    /// `canonical` must be `canonical_hash(graph)`. A wrong value files
+    /// the result under the wrong key, which costs later requests a miss
+    /// but can never serve a wrong artifact: every layer confirms the
+    /// exact graph before reuse.
+    pub fn compile_with_hash(
         &self,
         id: &str,
         family: &str,
         graph: &Graph,
         canonical: u64,
         ctx: &RequestCtx,
-    ) -> (InstanceReport, Option<Compiled>) {
+    ) -> (InstanceReport, Option<Arc<Compiled>>) {
         let start = Instant::now();
         let key = CacheKey {
             canonical,
             config: self.config_fp,
         };
-        let base_report =
-            |cache: CacheOutcome, error: FrameworkError, start: Instant| InstanceReport {
+        let report = |cache: CacheOutcome,
+                      compiled: Result<Arc<Compiled>, FrameworkError>,
+                      degraded: bool| {
+            let report = InstanceReport {
                 id: id.to_string(),
                 family: family.to_string(),
                 vertices: graph.vertex_count(),
                 edges: graph.edge_count(),
                 canonical_hash: key.canonical,
                 cache,
-                metrics: None,
-                error: Some(error.to_string()),
+                metrics: compiled.as_ref().ok().map(|c| InstanceMetrics {
+                    ne_min: c.ne_min,
+                    ne_limit: c.ne_limit,
+                    peak_emitters: c.metrics.peak_emitters,
+                    ee_cnots: c.metrics.ee_two_qubit_count,
+                    duration: c.metrics.duration,
+                    t_loss: c.metrics.t_loss,
+                    mean_photon_loss: c.metrics.loss.mean_photon_loss,
+                    any_photon_loss: c.metrics.loss.any_photon_loss,
+                    strategy: c.strategy,
+                }),
+                error: compiled.as_ref().err().map(ToString::to_string),
                 wall_micros: start.elapsed().as_micros(),
-                degraded: false,
-                timed_out: matches!(error, FrameworkError::DeadlineExceeded),
+                degraded,
+                timed_out: matches!(compiled, Err(FrameworkError::DeadlineExceeded)),
             };
+            (report, compiled.ok())
+        };
         // Entry fault point. The panic fires before any lock is taken, so
         // injected panics can never poison the cache from inside it.
         match self
@@ -894,56 +930,62 @@ impl BatchCompiler {
                 std::thread::sleep(std::time::Duration::from_millis(ms));
             }
             Some(FaultKind::Fail | FaultKind::IoError) => {
-                let mut report = base_report(
+                let (mut failed, _) = report(
                     CacheOutcome::Miss,
-                    FrameworkError::VerificationFailed,
-                    start,
+                    Err(FrameworkError::VerificationFailed),
+                    false,
                 );
-                report.error = Some("injected fault: batch.compile".to_string());
-                return (report, None);
+                failed.error = Some("injected fault: batch.compile".to_string());
+                return (failed, None);
             }
             // Crash aborts inside the probe; BitFlip has no bytes here.
             Some(FaultKind::BitFlip | FaultKind::Crash) | None => {}
         }
-        let mut outcome = CacheOutcome::Miss;
-        let mut cached = lock_recover(&self.cache).lookup(key, graph);
-        if cached.is_some() {
-            outcome = CacheOutcome::Hit;
-        } else if let Some(store) = &self.store {
-            cached = store.load(key, graph, &self.pipeline).inspect(|p| {
-                outcome = CacheOutcome::DiskHit;
-                // Promote to the memory layer so the next lookup is free.
-                lock_recover(&self.cache).insert(key, graph.clone(), p.clone());
-            });
+        // Memory layer: the verified result itself. The request is dead
+        // once its deadline passes, so an expired deadline cancels even a
+        // hit.
+        let hit = lock_recover(&self.cache).lookup(key, graph);
+        if let Some(compiled) = hit {
+            let result = if ctx.expired() {
+                Err(FrameworkError::DeadlineExceeded)
+            } else {
+                Ok(compiled)
+            };
+            return report(CacheOutcome::Hit, result, false);
         }
-        if cached.is_none() && ctx.expired() {
-            // The expensive prefix hasn't started; cancel instead of
-            // burning a partition search on a dead request.
-            return (
-                base_report(outcome, FrameworkError::DeadlineExceeded, start),
-                None,
-            );
-        }
-        // The planning stage runs outside the cache lock: concurrent misses
-        // on the same content may plan twice, but never block each other.
-        let planned = match cached {
-            Some(p) => Ok(p),
-            None => self
-                .pipeline
-                .partition_with_control(graph, &self.search_control(ctx))
-                .plan_leaves()
-                .inspect(|p| {
-                    // Degraded plans (deadline-truncated search, multilevel
-                    // fallback) stay out of both cache layers: a transient
-                    // fault must not pin reduced quality for future
-                    // requests.
+        // Disk layer: the planned prefix, or a fresh plan on a miss. The
+        // planning stage runs outside the cache lock: concurrent misses on
+        // the same content may plan twice, but never block each other.
+        let (outcome, planned) = match self
+            .store
+            .as_ref()
+            .and_then(|store| store.load(key, graph, &self.pipeline))
+        {
+            Some(p) => (CacheOutcome::DiskHit, Ok(p)),
+            None if ctx.expired() => {
+                // The expensive prefix hasn't started; cancel instead of
+                // burning a partition search on a dead request.
+                return report(
+                    CacheOutcome::Miss,
+                    Err(FrameworkError::DeadlineExceeded),
+                    false,
+                );
+            }
+            None => {
+                let planned = self
+                    .pipeline
+                    .partition_with_control(graph, &self.search_control(ctx))
+                    .plan_leaves();
+                // Degraded plans (deadline-truncated search, multilevel
+                // fallback) stay out of both cache layers: a transient
+                // fault must not pin reduced quality for future requests.
+                if let (Ok(p), Some(store)) = (&planned, &self.store) {
                     if !p.partition().degraded {
-                        lock_recover(&self.cache).insert(key, graph.clone(), p.clone());
-                        if let Some(store) = &self.store {
-                            store.save(key, p);
-                        }
+                        store.save(key, p);
                     }
-                }),
+                }
+                (CacheOutcome::Miss, planned)
+            }
         };
         let degraded = planned
             .as_ref()
@@ -964,32 +1006,14 @@ impl BatchCompiler {
             if ctx.expired() && !degraded {
                 return Err(FrameworkError::DeadlineExceeded);
             }
-            recombined.verify()
+            recombined.verify().map(Arc::new)
         });
-        let report = InstanceReport {
-            id: id.to_string(),
-            family: family.to_string(),
-            vertices: graph.vertex_count(),
-            edges: graph.edge_count(),
-            canonical_hash: key.canonical,
-            cache: outcome,
-            metrics: compiled.as_ref().ok().map(|c| InstanceMetrics {
-                ne_min: c.ne_min,
-                ne_limit: c.ne_limit,
-                peak_emitters: c.metrics.peak_emitters,
-                ee_cnots: c.metrics.ee_two_qubit_count,
-                duration: c.metrics.duration,
-                t_loss: c.metrics.t_loss,
-                mean_photon_loss: c.metrics.loss.mean_photon_loss,
-                any_photon_loss: c.metrics.loss.any_photon_loss,
-                strategy: c.strategy,
-            }),
-            error: compiled.as_ref().err().map(ToString::to_string),
-            wall_micros: start.elapsed().as_micros(),
-            degraded,
-            timed_out: matches!(compiled, Err(FrameworkError::DeadlineExceeded)),
-        };
-        (report, compiled.ok())
+        // Only a verified, full-quality result enters the memory layer, so
+        // the next request for this exact graph is a lookup.
+        if let (Ok(c), false) = (&compiled, degraded) {
+            lock_recover(&self.cache).insert(key, graph.clone(), Arc::clone(c));
+        }
+        report(outcome, compiled, degraded)
     }
 
     /// Compiles every instance in parallel and aggregates the reports.
@@ -1162,15 +1186,51 @@ mod tests {
         let (second, compiled_second) = batch.compile_instance("b", "lattice", &g);
         assert_eq!(first.cache, CacheOutcome::Miss);
         assert_eq!(second.cache, CacheOutcome::Hit);
-        // The cached prefix must not change the output.
+        // The hit serves the miss's verified result itself.
+        let (first, second) = (compiled_first.unwrap(), compiled_second.unwrap());
+        assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(
-            compiled_first.unwrap().circuit,
-            compiled_second.unwrap().circuit
+            first.circuit,
+            Pipeline::new(quick_config()).compile(&g).unwrap().circuit
         );
-        // Only the miss ran partition + planning.
+        // Only the miss ran the pipeline; the hit verified nothing again.
         let counts = batch.pipeline().counters();
         assert_eq!((counts.partition, counts.plan), (1, 1));
-        assert_eq!(counts.verify, 2);
+        assert_eq!(counts.verify, 1);
+    }
+
+    #[test]
+    fn a_deadline_that_passes_after_planning_caches_nothing_in_memory() {
+        use crate::faults::{FaultKind, FaultPlan, Trigger};
+        let dir = std::env::temp_dir().join(format!("epgs-batch-late-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut batch = BatchCompiler::with_store(quick_config(), &dir).unwrap();
+        // The store write sits between planning and the suffix; slowing it
+        // past the deadline expires the request after a full-quality plan.
+        batch.set_fault_plan(Arc::new(FaultPlan::new(7).rule_limited(
+            faults::POINT_STORE_WRITE,
+            FaultKind::Slow(600),
+            Trigger::Always,
+            1,
+        )));
+        let g = generators::path(6);
+        let ctx = RequestCtx::with_timeout(std::time::Duration::from_millis(300));
+        let (late, compiled) = batch.compile_instance_ctx("late", "path", &g, &ctx);
+        assert!(compiled.is_none());
+        assert!(late.timed_out && !late.degraded, "{late:?}");
+        assert_eq!(late.cache, CacheOutcome::Miss);
+        assert_eq!(batch.cache_len(), 0, "a timed-out result is not cached");
+        assert_eq!(batch.pipeline().counters().verify, 0);
+        // The plan itself was persisted as before: the next request reruns
+        // only the suffix, and the one after it is a lookup.
+        let (disk, _) = batch.compile_instance("disk", "path", &g);
+        assert_eq!(disk.cache, CacheOutcome::DiskHit);
+        assert_eq!(batch.cache_len(), 1);
+        let (hit, _) = batch.compile_instance("hit", "path", &g);
+        assert_eq!(hit.cache, CacheOutcome::Hit);
+        let counts = batch.pipeline().counters();
+        assert_eq!((counts.plan, counts.verify), (1, 1));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1252,15 +1312,15 @@ mod tests {
         let pipeline = Pipeline::new(config.clone());
         let g = generators::path(7);
         let wrong = generators::cycle(7);
-        // Plan the WRONG graph and file it under `g`'s slot: the entry's
-        // artifact no longer matches its graph.
-        let planned_wrong = pipeline.partition(&wrong).plan_leaves().unwrap();
+        // Compile the WRONG graph and file it under `g`'s slot: the entry's
+        // result was verified against a graph other than its own.
+        let compiled_wrong = Arc::new(pipeline.compile(&wrong).unwrap());
         let key = CacheKey {
             canonical: canonical_hash(&g),
             config: config_fingerprint(&config),
         };
         let mut cache = ArtifactCache::new(8);
-        cache.insert(key, g.clone(), planned_wrong);
+        cache.insert(key, g.clone(), compiled_wrong);
         // Lookup detects the inconsistency, discards, and reports a miss …
         assert!(cache.lookup(key, &g).is_none());
         assert_eq!(cache.stats().corrupt_discarded, 1);

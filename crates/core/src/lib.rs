@@ -107,8 +107,8 @@
 //! [`BatchCompiler`] (module [`batch`]) scales the pipeline from one target
 //! to a corpus: instances compile in parallel, and a content-addressed
 //! [`ArtifactCache`] — keyed by the label-invariant canonical graph hash
-//! plus a configuration fingerprint — lets repeated content skip the
-//! partition and leaf-planning stages entirely:
+//! plus a configuration fingerprint — serves repeated content its
+//! already-verified result without running any pipeline stage:
 //!
 //! ```
 //! use epgs::{BatchCompiler, BatchInstance, FrameworkConfig};

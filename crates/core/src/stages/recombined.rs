@@ -274,6 +274,7 @@ impl Recombined {
             Err(data) => (data.partition.clone(), data.plans.clone(), data.ne_min),
         };
         Ok(Compiled {
+            target: self.target,
             circuit: self.circuit,
             metrics: self.metrics,
             partition,
@@ -292,6 +293,9 @@ impl Recombined {
 /// artifact [`Recombined::verify`] closes the pipeline with.
 #[derive(Debug, Clone)]
 pub struct Compiled {
+    /// The target graph stage 5 verified `circuit` against, shared with
+    /// the earlier stage artifacts rather than copied.
+    pub target: Arc<Graph>,
     /// The verified generation circuit for the *original* target.
     pub circuit: Circuit,
     /// Evaluation metrics of `circuit`.

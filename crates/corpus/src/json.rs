@@ -618,16 +618,21 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
+                Some(c) if c < 0x20 => return Err(self.err("unescaped control character")),
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a valid &str).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("peek saw a byte");
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("unescaped control character"));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Consume the whole run of plain bytes at once. It ends
+                    // at an ASCII byte or the end of input, so it is a
+                    // whole number of UTF-8 characters, and each byte is
+                    // validated once.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest
+                        .iter()
+                        .position(|&c| c < 0x20 || c == b'"' || c == b'\\')
+                        .unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -765,6 +770,38 @@ mod tests {
         let e = Value::parse("[1, !]").unwrap_err();
         assert_eq!(e.offset, 4);
         assert!(e.to_string().contains("byte 4"));
+    }
+
+    #[test]
+    fn strings_keep_multibyte_runs_and_escapes_between_plain_runs() {
+        assert_eq!(
+            Value::parse("\"Ψ⟩ é 🚀 ok\"").unwrap(),
+            Value::Str("Ψ⟩ é 🚀 ok".into())
+        );
+        assert_eq!(
+            Value::parse(r#""ab\ncd\"é\\éxy""#).unwrap(),
+            Value::Str("ab\ncd\"é\\éxy".into())
+        );
+        let e = Value::parse("\"é\u{1}\"").unwrap_err();
+        assert_eq!(e.message, "unescaped control character");
+        assert_eq!(e.offset, 3, "offset of the control byte");
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let body = "é0123456789abcdef".repeat((2usize << 20).div_ceil(18));
+        assert!(body.len() >= 2 << 20);
+        let doc = format!("[\"{body}\",\"x\\ty\"]");
+        let start = std::time::Instant::now();
+        let v = Value::parse(&doc).unwrap();
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(2),
+            "a 2 MiB string took {:?}",
+            start.elapsed()
+        );
+        let items = v.as_arr().unwrap();
+        assert_eq!(items[0].as_str(), Some(body.as_str()));
+        assert_eq!(items[1].as_str(), Some("x\ty"));
     }
 
     #[test]

@@ -362,10 +362,11 @@ impl ServeEngine {
                 // Crash aborts inside the probe; BitFlip has no bytes here.
                 Some(FaultKind::BitFlip | FaultKind::Crash) | None => {}
             }
-            Some(self.batch.compile_instance_ctx(
+            Some(self.batch.compile_with_hash(
                 &format!("{canonical:016x}"),
                 "serve",
                 graph,
+                canonical,
                 &ctx,
             ))
         }));
@@ -376,20 +377,17 @@ impl ServeEngine {
                     CacheOutcome::DiskHit => ServeOutcome::DiskHit,
                     CacheOutcome::Miss => ServeOutcome::Compiled,
                 };
-                let result = match compiled {
-                    Some(c) => Ok(Arc::new(c)),
-                    None => Err(ServeError {
-                        kind: if report.timed_out {
-                            ServeErrorKind::DeadlineExceeded
-                        } else {
-                            ServeErrorKind::Compile
-                        },
-                        message: report
-                            .error
-                            .clone()
-                            .unwrap_or_else(|| "compilation failed".to_string()),
-                    }),
-                };
+                let result = compiled.ok_or_else(|| ServeError {
+                    kind: if report.timed_out {
+                        ServeErrorKind::DeadlineExceeded
+                    } else {
+                        ServeErrorKind::Compile
+                    },
+                    message: report
+                        .error
+                        .clone()
+                        .unwrap_or_else(|| "compilation failed".to_string()),
+                });
                 (result, report.degraded, outcome)
             }
             Ok(None) => (

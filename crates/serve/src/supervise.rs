@@ -172,15 +172,15 @@ impl Shared {
         ])
         .to_string()
     }
+}
 
-    /// Forwards a raw line to the worker if one is alive; a write failure
-    /// (worker died mid-send) is absorbed — the request stays pending and
-    /// is replayed into the next worker.
-    fn forward(&self, line: &str) {
-        let mut guard = lock_recover(&self.child_in);
-        if let Some(stdin) = guard.as_mut() {
-            let _ = writeln!(stdin, "{line}").and_then(|()| stdin.flush());
-        }
+/// Forwards a raw line to the worker if one is alive (`child_in` is the
+/// locked [`Shared::child_in`]); a write failure (worker died mid-send) is
+/// absorbed — the request stays pending and is replayed into the next
+/// worker.
+fn forward(child_in: &mut Option<ChildStdin>, line: &str) {
+    if let Some(stdin) = child_in.as_mut() {
+        let _ = writeln!(stdin, "{line}").and_then(|()| stdin.flush());
     }
 }
 
@@ -218,9 +218,9 @@ fn pump_stdin(shared: &Shared) {
         }
         if matches!(parsed, Ok(Request::Shutdown { .. })) {
             shared.shutting_down.store(true, Ordering::SeqCst);
-            let alive = lock_recover(&shared.child_in).is_some();
-            if alive {
-                shared.forward(&line);
+            let mut child_in = lock_recover(&shared.child_in);
+            if child_in.is_some() {
+                forward(&mut child_in, &line);
             } else {
                 // No worker to ack: the supervisor acknowledges and stops.
                 shared.write_out(&protocol::render_shutdown(&id));
@@ -233,6 +233,11 @@ fn pump_stdin(shared: &Shared) {
             shared.write_out(&shared.render_recovering(&id));
             continue;
         }
+        // Register and forward under the stdin lock. A respawn installs the
+        // new worker and replays the pending requests under the same lock,
+        // so each request reaches a worker once: by the replay or by this
+        // forward, never both.
+        let mut child_in = lock_recover(&shared.child_in);
         let seq = shared.seq.fetch_add(1, Ordering::Relaxed);
         lock_recover(&shared.pending).insert(
             id.to_string(),
@@ -243,7 +248,7 @@ fn pump_stdin(shared: &Shared) {
                 key,
             },
         );
-        shared.forward(&line);
+        forward(&mut child_in, &line);
     }
     shared.eof.store(true, Ordering::SeqCst);
     // Closing the worker's stdin lets it drain its queue and exit cleanly.
@@ -278,20 +283,25 @@ pub fn run(opts: SupervisorOptions) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        // Replay unanswered requests in submission order, then, if stdin
-        // is already gone, close the worker's stdin so it drains and exits.
+        // Install the worker's stdin and replay unanswered requests in
+        // submission order, then, if stdin is already gone, close the
+        // worker's stdin so it drains and exits. All of it runs under the
+        // stdin lock, so the pump cannot forward a request the replay also
+        // sends.
         {
-            let pending = lock_recover(&shared.pending);
-            let mut lines: Vec<(u64, String)> =
-                pending.values().map(|p| (p.seq, p.line.clone())).collect();
-            drop(pending);
+            let mut child_in = lock_recover(&shared.child_in);
+            *child_in = child.stdin.take();
+            let mut lines: Vec<(u64, String)> = lock_recover(&shared.pending)
+                .values()
+                .map(|p| (p.seq, p.line.clone()))
+                .collect();
             lines.sort_unstable();
             for (_, line) in lines {
-                shared.forward(&line);
+                forward(&mut child_in, &line);
             }
-        }
-        if shared.eof.load(Ordering::SeqCst) {
-            lock_recover(&shared.child_in).take();
+            if shared.eof.load(Ordering::SeqCst) {
+                child_in.take();
+            }
         }
 
         // Proxy worker stdout until it exits; any response settles its
@@ -369,7 +379,7 @@ fn spawn_worker(opts: &SupervisorOptions, shared: &Shared) -> io::Result<Child> 
         .worker_cmd
         .split_first()
         .ok_or_else(|| io::Error::other("empty worker command"))?;
-    let mut child = Command::new(program)
+    Command::new(program)
         .args(args)
         .env("EPGS_SUPERVISED", "1")
         .env(
@@ -378,7 +388,5 @@ fn spawn_worker(opts: &SupervisorOptions, shared: &Shared) -> io::Result<Child> 
         )
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
-        .spawn()?;
-    *lock_recover(&shared.child_in) = child.stdin.take();
-    Ok(child)
+        .spawn()
 }

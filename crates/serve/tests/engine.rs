@@ -166,3 +166,26 @@ fn evict_clears_both_layers_and_forces_a_recompile() {
     assert_eq!(engine.compile(&g).outcome, ServeOutcome::Compiled);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_memory_hit_is_a_lookup_of_the_verified_result() {
+    let engine = ServeEngine::new(quick_config());
+    let g = generators::lattice(3, 3);
+    let first = engine.compile(&g);
+    assert_eq!(first.outcome, ServeOutcome::Compiled);
+    let before = engine.batch().pipeline().counters();
+    let second = engine.compile(&g);
+    assert_eq!(second.outcome, ServeOutcome::MemoryHit);
+    // The hit hands out the very result the compile verified …
+    assert!(Arc::ptr_eq(
+        first.result.as_ref().expect("compiled"),
+        second.result.as_ref().expect("hit"),
+    ));
+    // … and runs no pipeline stage to produce it.
+    let after = engine.batch().pipeline().counters();
+    assert_eq!(
+        (after.schedule, after.recombine, after.verify),
+        (before.schedule, before.recombine, before.verify)
+    );
+    assert_eq!((after.schedule, after.verify), (1, 1));
+}

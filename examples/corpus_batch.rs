@@ -3,8 +3,8 @@
 //! Demonstrates the corpus layer end to end: declare a `CorpusSpec` grid,
 //! materialize its instances, hand them to a `BatchCompiler`, and read the
 //! per-instance and aggregate reports — then run the same corpus again to
-//! show every expensive prefix (partition + leaf planning) being served
-//! from the content-addressed cache.
+//! show every verified result being served from the content-addressed
+//! cache.
 //!
 //! Run with: `cargo run --release --example corpus_batch`
 
