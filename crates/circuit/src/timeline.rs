@@ -137,11 +137,7 @@ pub fn usage_curve(hw: &HardwareModel, circuit: &Circuit) -> (Vec<f64>, Vec<usiz
         events.push((s, 1));
         events.push((last[&e], -1));
     }
-    events.sort_by(|a, b| {
-        a.0.partial_cmp(&b.0)
-            .expect("finite times")
-            .then(b.1.cmp(&a.1))
-    });
+    events.sort_by(|a, b| a.0.total_cmp(&b.0).then(b.1.cmp(&a.1)));
     let mut times = Vec::new();
     let mut counts = Vec::new();
     let mut cur: isize = 0;

@@ -86,7 +86,7 @@ impl StepFn {
             .copied()
             .chain(other.times.iter().map(|&t| t + offset))
             .collect();
-        bps.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        bps.sort_by(f64::total_cmp);
         bps.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
         let counts: Vec<usize> = bps
             .iter()
@@ -157,12 +157,7 @@ impl Schedule {
                 ));
             }
         }
-        photons.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("finite times")
-                .then(a.1.cmp(&b.1))
-                .then(a.2.cmp(&b.2))
-        });
+        photons.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
         photons.into_iter().map(|(_, _, _, g)| g).collect()
     }
 }
@@ -180,8 +175,7 @@ pub fn schedule(plans: &[SubgraphPlan], ne_limit: usize) -> Schedule {
     order.sort_by(|&a, &b| {
         plans[b]
             .priority()
-            .partial_cmp(&plans[a].priority())
-            .expect("finite priorities")
+            .total_cmp(&plans[a].priority())
             .then(a.cmp(&b))
     });
 
@@ -233,7 +227,7 @@ fn pack(
         // (smallest = latest in real time) that fits the budget.
         let mut candidates: Vec<f64> = vec![0.0];
         candidates.extend(combined.breakpoints().iter().copied());
-        candidates.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        candidates.sort_by(f64::total_cmp);
         candidates.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
         let offset = candidates
             .into_iter()

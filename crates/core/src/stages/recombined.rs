@@ -333,8 +333,7 @@ fn sequential_ordering(sched: &Schedule, plans: &[SubgraphPlan]) -> Vec<usize> {
     placements.sort_by(|a, b| {
         sched
             .start_time(a, plans)
-            .partial_cmp(&sched.start_time(b, plans))
-            .expect("finite times")
+            .total_cmp(&sched.start_time(b, plans))
     });
     let mut out = Vec::new();
     for p in placements {
@@ -367,8 +366,7 @@ fn build_affinity(
     order.sort_by(|a, b| {
         sched
             .start_time(a, plans)
-            .partial_cmp(&sched.start_time(b, plans))
-            .expect("finite times")
+            .total_cmp(&sched.start_time(b, plans))
     });
     let mut busy_until = vec![f64::NEG_INFINITY; pool];
     let mut group_emitters = vec![Vec::new(); plans.len()];
@@ -378,12 +376,7 @@ fn build_affinity(
         let demand = plans[p.block].variants[p.variant].emitters.min(pool).max(1);
         // Emitters free at `start` first, then the earliest to free up.
         let mut candidates: Vec<usize> = (0..pool).collect();
-        candidates.sort_by(|&a, &b| {
-            busy_until[a]
-                .partial_cmp(&busy_until[b])
-                .expect("finite times")
-                .then(a.cmp(&b))
-        });
+        candidates.sort_by(|&a, &b| busy_until[a].total_cmp(&busy_until[b]).then(a.cmp(&b)));
         let chosen: Vec<usize> = candidates.into_iter().take(demand).collect();
         for &e in &chosen {
             busy_until[e] = busy_until[e].max(end);

@@ -164,11 +164,7 @@ pub fn waxman<R: Rng + ?Sized>(n: usize, alpha: f64, beta: f64, rng: &mut R) -> 
         let (&a, &b) = base
             .iter()
             .flat_map(|a| other.iter().map(move |b| (a, b)))
-            .min_by(|(a1, b1), (a2, b2)| {
-                dist(**a1, **b1)
-                    .partial_cmp(&dist(**a2, **b2))
-                    .expect("distances are finite")
-            })
+            .min_by(|(a1, b1), (a2, b2)| dist(**a1, **b1).total_cmp(&dist(**a2, **b2)))
             .expect("components are non-empty");
         g.add_edge(a, b).expect("in range");
     }

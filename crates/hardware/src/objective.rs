@@ -63,15 +63,22 @@ pub struct ObjectiveFigures {
 /// floats, lower is better.
 ///
 /// `ObjectiveScore` implements [`Ord`] (scores are guaranteed finite by
-/// [`CompileObjective::score`]), so candidate selection is a plain `<`
-/// with deterministic first-wins tie-breaking.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// [`CompileObjective::score`]; components compare by [`f64::total_cmp`],
+/// so even a NaN orders instead of panicking), so candidate selection is a
+/// plain `<` with deterministic first-wins tie-breaking.
+#[derive(Debug, Clone, Copy)]
 pub struct ObjectiveScore([f64; 3]);
 
 impl ObjectiveScore {
     /// The raw lexicographic components (primary first).
     pub fn components(&self) -> [f64; 3] {
         self.0
+    }
+}
+
+impl PartialEq for ObjectiveScore {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
     }
 }
 
@@ -86,7 +93,7 @@ impl PartialOrd for ObjectiveScore {
 impl Ord for ObjectiveScore {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         for (a, b) in self.0.iter().zip(&other.0) {
-            match a.partial_cmp(b).expect("objective scores are finite") {
+            match a.total_cmp(b) {
                 std::cmp::Ordering::Equal => continue,
                 ord => return ord,
             }

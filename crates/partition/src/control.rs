@@ -3,7 +3,7 @@
 //! The LC beam search is the pipeline's dominant cost, so it is where a
 //! per-request deadline has to land and where the serve layer's fault
 //! injection reaches the partitioner. [`SearchControl`] carries both — a
-//! cooperative deadline the search checks between scoring rounds, and an
+//! cooperative deadline the search checks before every scoring call, and an
 //! optional hook consulted before every multilevel-partitioner call that
 //! can force a clean failure, a panic, or a stall. Either way the search
 //! *degrades instead of failing*: a truncated search returns its incumbent,
@@ -33,8 +33,8 @@ pub type FaultHook = Arc<dyn Fn() -> Option<InjectedFault> + Send + Sync>;
 /// Runtime controls threaded into [`crate::partition_with_lc_controlled`].
 #[derive(Clone, Default)]
 pub struct SearchControl {
-    /// Cooperative deadline: the beam search checks it between scoring
-    /// rounds and stops expanding (keeping the incumbent) once passed.
+    /// Cooperative deadline: the beam search checks it before every
+    /// scoring call and stops expanding (keeping the incumbent) once passed.
     pub deadline: Option<Instant>,
     /// Fault-injection hook for multilevel calls (`None` in production).
     pub multilevel_fault: Option<FaultHook>,

@@ -2,8 +2,10 @@
 //!
 //! Multi-restart greedy vertex moves: from a seeded assignment, repeatedly
 //! relocate the vertex with the best cut-gain to another block with spare
-//! capacity, until no positive-gain move exists. Runs in O(passes · n · Δ)
-//! and is the anytime workhorse above exact-search sizes.
+//! capacity, until no positive-gain move exists, with a pairwise swap pass
+//! for capacity-saturated partitions. A move pass is O(n · Δ) but a swap
+//! pass visits every vertex pair, so a refinement is O(passes · n²). This
+//! is the anytime workhorse above exact-search sizes.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -158,10 +160,13 @@ pub fn fm_partition(
 ///
 /// The pair gain is evaluated in O(1) from `cnt` — `cnt[v·nb + b]` counts
 /// `v`'s neighbors in block `b` under the current assignment (the caller
-/// builds it; accepted swaps maintain it). With `adj = 1` iff `v ~ w`, the
-/// swapped costs are `deg − cnt[·]` with the partner's move folded in — the
-/// exact quantities the original per-pair neighborhood scans produced, so
-/// the same swaps are accepted in the same order.
+/// builds it; accepted swaps maintain it). Swapping `v ∈ bv` with
+/// `w ∈ bw` lowers the cut by `(cnt[v][bw] − cnt[v][bv]) + (cnt[w][bv] −
+/// cnt[w][bw]) − 2·adj`, where `adj = 1` iff `v ~ w` (that edge stays cut,
+/// yet each endpoint's count places the other in its new block). The
+/// adjacency term only lowers the gain, so a pair whose gain is already
+/// ≤ 0 without it is rejected before the `binary_search`; the same swaps
+/// are accepted in the same order as when every pair paid for the search.
 fn swap_pass(csr: &Csr, assign: &mut [usize], cnt: &mut [isize], num_blocks: usize) -> bool {
     let n = assign.len();
     let mut swapped = false;
@@ -171,13 +176,13 @@ fn swap_pass(csr: &Csr, assign: &mut [usize], cnt: &mut [isize], num_blocks: usi
             if bv == bw {
                 continue;
             }
-            let deg_v = csr.nbrs(v).len() as isize;
-            let deg_w = csr.nbrs(w).len() as isize;
-            let before = (deg_v - cnt[v * num_blocks + bv]) + (deg_w - cnt[w * num_blocks + bw]);
+            let gain = (cnt[v * num_blocks + bw] - cnt[v * num_blocks + bv])
+                + (cnt[w * num_blocks + bv] - cnt[w * num_blocks + bw]);
+            if gain <= 0 {
+                continue;
+            }
             let adj = csr.nbrs(v).binary_search(&w).is_ok() as isize;
-            let after =
-                (deg_v - cnt[v * num_blocks + bw] + adj) + (deg_w - cnt[w * num_blocks + bv] + adj);
-            if after < before {
+            if gain - 2 * adj > 0 {
                 swapped = true;
                 assign[v] = bw;
                 assign[w] = bv;

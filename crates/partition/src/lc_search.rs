@@ -8,14 +8,17 @@
 //! states — not just the deepest — is returned, so l = 0 is always a lower
 //! bound on quality.
 //!
-//! Expansion is engineered for throughput: beam states are scored **in
-//! parallel** (one task per state), each task walks its candidate vertices
-//! by **apply → score → undo** on a single working graph (LC is self-inverse
-//! at a fixed vertex), and only the `BEAM_WIDTH` surviving candidates are
-//! ever materialized as graphs — the old code cloned the graph per
-//! candidate, ~`n·BEAM_WIDTH` clones per depth. Candidate order, scores,
-//! incumbent updates, and tie-breaks replicate the sequential loop exactly,
-//! so the returned partition is bit-identical.
+//! Expansion is engineered for throughput. Each depth enumerates its
+//! candidates in the sequential `(state, v)` order and scores them **in
+//! parallel, one task per candidate**: a worker keeps a working graph for
+//! the state it is on and scores by **apply → score → undo** (LC is
+//! self-inverse at a fixed vertex), so no candidate graph is cloned and
+//! only the `BEAM_WIDTH` survivors are ever materialized. Commuting LCs
+//! often reach the same graph twice in one beam; a state equal to an
+//! earlier one shares that state's scores instead of repeating them (same
+//! graph, same salt, same answer). Scores, incumbent updates, and
+//! tie-breaks replay the sequential candidate order exactly, so the
+//! returned partition is bit-identical to scoring every candidate in turn.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -32,12 +35,19 @@ use crate::spec::{Partition, PartitionScheme, PartitionSpec};
 /// Beam width of the LC search (states kept per depth).
 const BEAM_WIDTH: usize = 6;
 
-/// A scored expansion `state.graph + LC(v)`, graph not yet materialized.
-struct Scored {
+/// One expansion `state.graph + LC(v)`, in the sequential candidate order.
+struct Candidate {
     /// Index of the parent beam state.
     state: usize,
     /// The vertex complemented.
     v: usize,
+    /// Index of its score in the depth's score table; a candidate of a
+    /// duplicate beam state shares the earlier state's entry.
+    job: usize,
+}
+
+/// The score of one expansion, graph not yet materialized.
+struct Scored {
     /// FM assignment of the expanded graph.
     assign: Vec<usize>,
     /// FM cut of the expanded graph.
@@ -148,53 +158,75 @@ pub fn partition_with_lc_controlled(
             truncated.store(true, Ordering::Relaxed);
             break;
         }
-        // Score every expansion of every beam state, beam-states in
-        // parallel. Each task owns one working graph and applies/undoes the
-        // LC around the FM call instead of cloning per candidate.
+        // Enumerate the expansions in the sequential (state, v) order. A
+        // state equal to an earlier one reuses that state's score for the
+        // same v; it is scored only when the earlier state skipped v.
+        let mut candidates = Vec::new();
+        let mut jobs: Vec<(usize, usize)> = Vec::new();
+        let mut job_of = vec![usize::MAX; beam.len() * n];
+        for (si, (graph, seq, _)) in beam.iter().enumerate() {
+            let first = (0..si).find(|&i| beam[i].0 == *graph).unwrap_or(si);
+            for v in 0..n {
+                if graph.degree(v) < 2 {
+                    continue; // LC at degree ≤ 1 vertices never changes edges
+                }
+                // Avoid immediately undoing the previous LC.
+                if seq.last() == Some(&v) {
+                    continue;
+                }
+                let job = &mut job_of[first * n + v];
+                if *job == usize::MAX {
+                    *job = jobs.len();
+                    jobs.push((si, v));
+                }
+                candidates.push(Candidate {
+                    state: si,
+                    v,
+                    job: *job,
+                });
+            }
+        }
+        // Score the distinct expansions, one task per candidate. A worker
+        // keeps the graph of the state it is on and applies/undoes the LC
+        // around the FM call instead of cloning per candidate.
         let salt = depth as u64 + 1;
-        let scored: Vec<Vec<Scored>> = (0..beam.len())
+        let scores: Vec<Option<Scored>> = jobs
             .into_par_iter()
-            .map(|si| {
-                let (graph, seq, _) = &beam[si];
-                let mut work = graph.clone();
-                let mut out = Vec::new();
-                for v in 0..n {
+            .map_init(
+                || (usize::MAX, Graph::new(0)),
+                |(on, work), (si, v)| {
                     if ctrl.expired() {
                         truncated.store(true, Ordering::Relaxed);
-                        break; // partial round: incumbent updates below stay valid
+                        return None; // partial round: incumbent updates below stay valid
                     }
-                    if work.degree(v) < 2 {
-                        continue; // LC at degree ≤ 1 vertices never changes edges
+                    if *on != si {
+                        *on = si;
+                        work.clone_from(&beam[si].0);
                     }
-                    // Avoid immediately undoing the previous LC.
-                    if seq.last() == Some(&v) {
-                        continue;
-                    }
-                    ops::local_complement(&mut work, v).expect("vertex in range");
-                    let (assign, cut) = score(&work, salt);
-                    out.push(Scored {
-                        state: si,
-                        v,
-                        assign,
-                        cut,
-                        edges: work.edge_count(),
-                    });
-                    ops::local_complement(&mut work, v).expect("vertex in range");
-                }
-                out
-            })
+                    ops::local_complement(work, v).expect("vertex in range");
+                    let (assign, cut) = score(work, salt);
+                    let edges = work.edge_count();
+                    ops::local_complement(work, v).expect("vertex in range");
+                    Some(Scored { assign, cut, edges })
+                },
+            )
             .collect();
+        let scored: Vec<(&Candidate, &Scored)> = candidates
+            .iter()
+            .filter_map(|c| Some((c, scores[c.job].as_ref()?)))
+            .collect();
+        if scored.is_empty() {
+            break;
+        }
 
         // Incumbent updates, replayed in the sequential candidate order.
-        let mut any = false;
-        for s in scored.iter().flatten() {
-            any = true;
+        for &(c, s) in &scored {
             if s.cut < best.cut || (s.cut == best.cut && s.edges < best.transformed.edge_count()) {
-                let (graph, seq, _) = &beam[s.state];
+                let (graph, seq, _) = &beam[c.state];
                 let mut transformed = graph.clone();
-                ops::local_complement(&mut transformed, s.v).expect("vertex in range");
+                ops::local_complement(&mut transformed, c.v).expect("vertex in range");
                 let mut lc_sequence = seq.clone();
-                lc_sequence.push(s.v);
+                lc_sequence.push(c.v);
                 best = Partition {
                     block_of: s.assign.clone(),
                     lc_sequence,
@@ -204,14 +236,11 @@ pub fn partition_with_lc_controlled(
                 };
             }
         }
-        if !any {
-            break;
-        }
         // Keep the BEAM_WIDTH best candidates — same key and the same
         // stable order over (state, v) as the sequential sort — and only
         // materialize those as graphs.
-        let mut survivors: Vec<&Scored> = scored.iter().flatten().collect();
-        survivors.sort_by_key(|s| (s.cut, s.edges));
+        let mut survivors = scored;
+        survivors.sort_by_key(|(_, s)| (s.cut, s.edges));
         survivors.truncate(BEAM_WIDTH);
         // Early exit: a zero cut cannot be beaten.
         if best.cut == 0 {
@@ -219,12 +248,12 @@ pub fn partition_with_lc_controlled(
         }
         beam = survivors
             .into_iter()
-            .map(|s| {
-                let (graph, seq, _) = &beam[s.state];
+            .map(|(c, s)| {
+                let (graph, seq, _) = &beam[c.state];
                 let mut next = graph.clone();
-                ops::local_complement(&mut next, s.v).expect("vertex in range");
+                ops::local_complement(&mut next, c.v).expect("vertex in range");
                 let mut next_seq = seq.clone();
-                next_seq.push(s.v);
+                next_seq.push(c.v);
                 (next, next_seq, s.cut)
             })
             .collect();

@@ -30,7 +30,7 @@
 //! See `epgs_serve::protocol` for the request/response grammar.
 
 use std::collections::VecDeque;
-use std::io::{self, BufRead, Write};
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
@@ -268,10 +268,15 @@ fn main() -> ExitCode {
         }));
     }
 
-    for line in io::stdin().lock().lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => break,
+    let mut stdin = io::stdin().lock();
+    loop {
+        let line = match protocol::read_line_capped(&mut stdin, protocol::MAX_LINE_BYTES) {
+            Ok(Some(protocol::Line::Text(l))) => l,
+            Ok(Some(protocol::Line::TooLong)) => {
+                write_line(&stdout, &protocol::render_too_long());
+                continue;
+            }
+            Ok(None) | Err(_) => break,
         };
         if line.trim().is_empty() {
             continue;

@@ -27,12 +27,16 @@
 //! failures carry `"ok":false`, an `"error"` string, and a machine-readable
 //! `"error_kind"` (`bad_request` for unparsable requests — answered with
 //! `"id":null` when even the id is lost — plus the engine's
-//! `compile_failed` / `deadline_exceeded` / `overloaded` / `panic`).
+//! `compile_failed` / `deadline_exceeded` / `overloaded` / `panic`). A
+//! request line longer than [`MAX_LINE_BYTES`] is discarded unparsed and
+//! answered with a `bad_request` carrying `"id":null`.
 //! Compile responses report the cache `outcome` (`memory_hit` / `disk_hit`
 //! / `compiled` / `coalesced`), the request wall time, whether the answer
 //! came from a `degraded` partition search, the compiled metrics, and —
 //! when the request set `"qasm":true` — the full OpenQASM 3 text of the
 //! generation circuit.
+
+use std::io::{self, BufRead};
 
 use epgs::Compiled;
 use epgs_circuit::qasm;
@@ -97,6 +101,81 @@ impl Request {
             | Request::Shutdown { id } => id,
         }
     }
+}
+
+/// Longest request line the daemon reads, in bytes (newline excluded).
+/// A request carries one graph as an edge list, and 4 MiB holds hundreds
+/// of thousands of edges; the cap keeps one runaway line from growing the
+/// reader's buffer without bound or stalling the thread that sheds load.
+pub const MAX_LINE_BYTES: usize = 4 << 20;
+
+/// One line read by [`read_line_capped`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Line {
+    /// A line within the cap, without its `\n` or `\r\n` terminator.
+    Text(String),
+    /// A line over the cap; its bytes were consumed but not kept.
+    TooLong,
+}
+
+/// Reads one line of at most `cap` bytes, like one step of
+/// [`BufRead::lines`]. `Ok(None)` at end of input. An over-long line is
+/// consumed through its newline without being buffered and reported as
+/// [`Line::TooLong`].
+///
+/// # Errors
+///
+/// Read errors, and `InvalidData` for a line that is not UTF-8.
+pub fn read_line_capped<R: BufRead>(reader: &mut R, cap: usize) -> io::Result<Option<Line>> {
+    let mut buf = Vec::new();
+    let mut too_long = false;
+    let mut read_any = false;
+    loop {
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            break;
+        }
+        read_any = true;
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let part = &chunk[..newline.unwrap_or(chunk.len())];
+        if !too_long && buf.len() + part.len() > cap {
+            too_long = true;
+            buf = Vec::new();
+        }
+        if !too_long {
+            buf.extend_from_slice(part);
+        }
+        let used = newline.map_or(chunk.len(), |i| i + 1);
+        reader.consume(used);
+        if newline.is_some() {
+            break;
+        }
+    }
+    if !read_any {
+        return Ok(None);
+    }
+    if too_long {
+        return Ok(Some(Line::TooLong));
+    }
+    if buf.last() == Some(&b'\r') {
+        buf.pop();
+    }
+    String::from_utf8(buf)
+        .map(|text| Some(Line::Text(text)))
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
+
+/// Renders the response to a [`Line::TooLong`] request line.
+pub fn render_too_long() -> String {
+    render_error(
+        &Value::Null,
+        &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+        "bad_request",
+    )
 }
 
 fn parse_graph(v: &Value) -> Result<Graph, String> {
@@ -365,4 +444,40 @@ pub fn render_shutdown(id: &Value) -> String {
     w.field_str("op", "shutdown");
     w.end_obj();
     w.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn lines(input: &[u8], cap: usize) -> Vec<Line> {
+        let mut reader = io::BufReader::with_capacity(4, input);
+        std::iter::from_fn(|| read_line_capped(&mut reader, cap).expect("in-memory read")).collect()
+    }
+
+    #[test]
+    fn capped_lines_match_buf_read_lines_within_the_cap() {
+        let text = |s: &str| Line::Text(s.to_string());
+        assert_eq!(
+            lines(b"ab\r\n\ncdefgh\nlast", 8),
+            vec![text("ab"), text(""), text("cdefgh"), text("last")]
+        );
+        assert!(lines(b"", 8).is_empty());
+    }
+
+    #[test]
+    fn an_over_long_line_is_skipped_and_the_next_line_is_read() {
+        let text = |s: &str| Line::Text(s.to_string());
+        assert_eq!(
+            lines(b"12345678\n123456789\nok\n123456789", 8),
+            vec![text("12345678"), Line::TooLong, text("ok"), Line::TooLong]
+        );
+    }
+
+    #[test]
+    fn non_utf8_is_invalid_data() {
+        let mut reader = io::BufReader::new(&b"\xff\n"[..]);
+        let err = read_line_capped(&mut reader, 8).expect_err("not UTF-8");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
 }

@@ -187,8 +187,16 @@ fn forward(child_in: &mut Option<ChildStdin>, line: &str) {
 /// The stdin pump: reads real stdin until EOF, applying the breaker and
 /// registering every forwarded request as pending.
 fn pump_stdin(shared: &Shared) {
-    for line in io::stdin().lock().lines() {
-        let Ok(line) = line else { break };
+    let mut stdin = io::stdin().lock();
+    loop {
+        let line = match protocol::read_line_capped(&mut stdin, protocol::MAX_LINE_BYTES) {
+            Ok(Some(protocol::Line::Text(l))) => l,
+            Ok(Some(protocol::Line::TooLong)) => {
+                shared.write_out(&protocol::render_too_long());
+                continue;
+            }
+            Ok(None) | Err(_) => break,
+        };
         if line.trim().is_empty() {
             continue;
         }

@@ -264,3 +264,28 @@ fn a_flooded_daemon_sheds_with_structured_overloaded_errors() {
     );
     daemon.shutdown();
 }
+
+#[test]
+fn an_over_long_request_line_gets_a_structured_bad_request() {
+    let mut daemon = Daemon::spawn_full(&["--threads", "1"], &[]);
+    // Well-formed JSON, one byte past the cap: rejected unparsed, so the
+    // id is lost and the response carries `"id":null`.
+    let head = "{\"op\":\"status\",\"id\":1,\"pad\":\"";
+    let pad = "x".repeat(epgs_serve::protocol::MAX_LINE_BYTES + 1 - head.len() - 2);
+    daemon.send(&format!("{head}{pad}\"}}"));
+    let r = daemon.read_response();
+    assert_eq!(r.get("ok").and_then(Value::as_bool), Some(false), "{r}");
+    assert_eq!(
+        r.get("error_kind").and_then(Value::as_str),
+        Some("bad_request"),
+        "{r}"
+    );
+    assert_eq!(r.get("id"), Some(&Value::Null), "{r}");
+
+    // The reader resynchronizes on the next line and keeps serving.
+    daemon.send(&compile_req(2, &generators::cycle(6)));
+    let r = daemon.read_response();
+    assert_eq!(r.get("id").and_then(Value::as_u64), Some(2), "{r}");
+    assert_eq!(r.get("ok").and_then(Value::as_bool), Some(true), "{r}");
+    daemon.shutdown();
+}

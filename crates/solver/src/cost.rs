@@ -137,11 +137,7 @@ pub fn rank_orderings_weighted(g: &Graph, orderings: &mut [Vec<usize>], weights:
             ((weights.score(&e), e.emitters), std::mem::take(ord))
         })
         .collect();
-    keyed.sort_by(|(ka, _), (kb, _)| {
-        ka.0.partial_cmp(&kb.0)
-            .expect("finite weighted scores")
-            .then(ka.1.cmp(&kb.1))
-    });
+    keyed.sort_by(|(ka, _), (kb, _)| ka.0.total_cmp(&kb.0).then(ka.1.cmp(&kb.1)));
     for (slot, (_, ord)) in orderings.iter_mut().zip(keyed) {
         *slot = ord;
     }
