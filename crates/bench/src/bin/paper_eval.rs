@@ -1,4 +1,5 @@
-//! Regenerates the paper's §V evaluation from one table of experiments:
+//! Regenerates the paper's §V evaluation, and its §III Challenge 1 scaling
+//! claim, from one table of experiments:
 //!
 //! * `fig5` — Fig. 5, emitter usage over time, baseline vs framework;
 //! * `fig10_11` — Fig. 10 (a)–(c) ee-CNOT counts, Fig. 10 (d)–(f) duration
@@ -9,7 +10,9 @@
 //!   selection;
 //! * `hardware` — the emitters × duration × loss Pareto front per
 //!   default-corpus instance across every hardware preset, written to
-//!   `target/hardware_sweep.json`.
+//!   `target/hardware_sweep.json`;
+//! * `scaling` — §III Challenge 1, exhaustive ordering search against the
+//!   divide-and-conquer framework on small lattices.
 //!
 //! Run with: `cargo run --release -p epgs-bench --bin paper_eval [EXPERIMENT...]`
 //!
@@ -28,19 +31,23 @@ use epgs_corpus::{CorpusSpec, Writer};
 use epgs_graph::{generators, Graph};
 use epgs_hardware::HardwareModel;
 use epgs_partition::{partition_with_lc, PartitionSpec};
-use epgs_solver::{solve_baseline, solve_with_ordering, BaselineOptions, SolveOptions, Solved};
+use epgs_solver::{
+    solve_baseline, solve_with_ordering, solve_with_ordering_in, BaselineOptions, SolveOptions,
+    Solved, SolverWorkspace,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 type Experiment = fn() -> Result<(), String>;
 
 /// Every experiment, in the order a bare run prints them.
-const EXPERIMENTS: [(&str, Experiment); 5] = [
+const EXPERIMENTS: [(&str, Experiment); 6] = [
     ("fig5", fig5),
     ("fig10_11", fig10_11),
     ("fig11_lc", fig11_lc),
     ("ablation", ablation),
     ("hardware", hardware),
+    ("scaling", scaling),
 ];
 
 fn main() -> ExitCode {
@@ -552,6 +559,75 @@ fn hardware() -> Result<(), String> {
         instances.len()
     );
     println!("report written to {OUT}");
+    Ok(())
+}
+
+/// Solves `g` under every emission ordering (Heap's algorithm, one reused
+/// workspace) — the brute-force regime the paper attributes to exact
+/// solvers. Returns `(orderings tried, best #ee-CNOT)`.
+fn exhaustive(g: &Graph) -> (usize, usize) {
+    let n = g.vertex_count();
+    let opts = SolveOptions {
+        verify: false,
+        ..SolveOptions::default()
+    };
+    let mut ws = SolverWorkspace::new();
+    let mut best = usize::MAX;
+    let mut tried = 0usize;
+    let mut eval = |p: &[usize]| {
+        if let Ok(s) = solve_with_ordering_in(&mut ws, g, p, &opts) {
+            best = best.min(s.circuit.ee_two_qubit_count());
+        }
+        tried += 1;
+    };
+    let mut perm: Vec<usize> = (0..n).collect();
+    let mut c = vec![0usize; n];
+    eval(&perm);
+    let mut i = 1;
+    while i < n {
+        if c[i] < i {
+            if i % 2 == 0 {
+                perm.swap(0, i);
+            } else {
+                perm.swap(c[i], i);
+            }
+            eval(&perm);
+            c[i] += 1;
+            i = 1;
+        } else {
+            c[i] = 0;
+            i += 1;
+        }
+    }
+    (tried, best)
+}
+
+/// §III Challenge 1: exhaustive ordering search needs n! solves, while the
+/// framework compiles the same lattice with one partition and a few leaf
+/// solves. No wall-clock column, so the output stays pinnable.
+fn scaling() -> Result<(), String> {
+    println!("== §III Challenge 1: exhaustive ordering search vs framework on lattices ==");
+    println!(
+        "{:>8} {:>7} {:>10} {:>16} {:>16}",
+        "lattice", "#qubit", "orderings", "exhaustive best", "framework"
+    );
+    let pipeline = bench_framework();
+    for cols in [2usize, 3, 4] {
+        let g = generators::lattice(2, cols);
+        let (tried, best) = exhaustive(&g);
+        let ours = pipeline
+            .compile(&g)
+            .map_err(|e| format!("lattice 2x{cols}: framework compile failed: {e}"))?;
+        println!(
+            "{:>8} {:>7} {tried:>10} {best:>16} {:>16}",
+            format!("2x{cols}"),
+            g.vertex_count(),
+            ours.metrics.ee_two_qubit_count
+        );
+    }
+    println!("ee-CNOT counts: exhaustive sizes each ordering's emitter pool to its minimum,");
+    println!("the framework compiles at its configured 1.5× Ne_min budget.");
+    println!("orderings grow as n!: a 4x4 lattice would need 16! ≈ 2.1e13 solves");
     Ok(())
 }
 

@@ -12,18 +12,13 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use epgs::{FrameworkConfig, PartitionScheme, Pipeline};
+use epgs::{FrameworkConfig, Pipeline};
 use epgs_graph::{generators, Graph};
 use epgs_hardware::HardwareModel;
 use epgs_solver::BaselineOptions;
 
 /// Benchmark RNG seed (fixed for reproducibility).
 pub const SEED: u64 = 0xdac2025;
-
-/// The pipeline stages whose wall times `runtime_scaling` records per
-/// framework point and `bench_guard` diffs across trajectories. One list,
-/// two bins — extending the breakdown means extending this.
-pub const STAGES: [&str; 5] = ["partition", "plan", "schedule", "recombine", "verify"];
 
 /// Lattice sweep: 4×k grids, 12–60 qubits (paper Fig. 10 a/d).
 pub fn lattice_sweep() -> Vec<(usize, Graph)> {
@@ -79,16 +74,6 @@ pub fn bench_framework() -> Pipeline {
         flexible_slack: 2,
         ..FrameworkConfig::default()
     })
-}
-
-/// [`bench_framework`] pinned to the flat partition scheme — the
-/// pre-multilevel engine, kept measurable so `runtime_scaling` can record
-/// the flat-vs-multilevel partition-stage speedup in the same run, on the
-/// same machine.
-pub fn flat_framework() -> Pipeline {
-    let mut config = bench_framework().config().clone();
-    config.partition.scheme = PartitionScheme::Flat;
-    Pipeline::new(config)
 }
 
 /// The pipeline for corpus batch runs: the serve daemon's

@@ -94,12 +94,45 @@ impl FamilyKind {
     }
 
     /// The largest size-grid entry the family can represent, if bounded
-    /// below `usize::MAX` (a hypercube dimension must fit in `u32`).
-    /// [`CorpusSpec::from_json`] enforces this bound with a structured
-    /// [`SpecError::SizeTooLarge`], so parsed specs always build.
+    /// below `usize::MAX` (a hypercube of dimension `d` has `2^d` vertices,
+    /// so `d` must stay below `usize::BITS`). [`CorpusSpec::from_json`]
+    /// enforces this bound with a structured [`SpecError::SizeTooLarge`].
     pub fn size_limit(&self) -> Option<usize> {
         match self {
-            FamilyKind::Hypercube => Some(u32::MAX as usize),
+            FamilyKind::Hypercube => Some(usize::BITS as usize - 1),
+            _ => None,
+        }
+    }
+
+    /// The generator precondition that `(self, size)` breaks, if any: the
+    /// parameter assertions of [`epgs_graph::generators`] that
+    /// [`FamilyKind::build`] would otherwise panic on.
+    /// [`CorpusSpec::from_json`] turns a broken one into
+    /// [`SpecError::Unbuildable`], so parsed specs always build.
+    fn precondition_error(&self, size: usize) -> Option<&'static str> {
+        match *self {
+            FamilyKind::RandomRegular { degree } => {
+                if degree >= size && (size, degree) != (0, 0) {
+                    Some("degree must be below the vertex count")
+                } else if size.checked_mul(degree).is_none_or(|nd| nd % 2 == 1) {
+                    Some("vertex count times degree must be even")
+                } else {
+                    None
+                }
+            }
+            FamilyKind::HeavyHex { rows } if rows == 0 || size == 0 => {
+                Some("heavy hex needs at least one row and one column")
+            }
+            FamilyKind::BarabasiAlbert { attach } if attach == 0 || attach >= size => {
+                Some("attach must be in 1..n")
+            }
+            FamilyKind::WattsStrogatz { neighbors, .. } if neighbors % 2 == 1 => {
+                Some("neighbors must be even")
+            }
+            FamilyKind::WattsStrogatz { neighbors, .. } if neighbors < 2 || neighbors >= size => {
+                Some("neighbors must be in 2..n")
+            }
+            FamilyKind::Tree { arity: 0 } => Some("tree arity must be positive"),
             _ => None,
         }
     }
@@ -110,7 +143,8 @@ impl FamilyKind {
     ///
     /// Propagates the generators' parameter assertions (e.g. a
     /// Watts–Strogatz grid whose `neighbors ≥ size`, or a size beyond
-    /// [`FamilyKind::size_limit`]); see [`epgs_graph::generators`].
+    /// [`FamilyKind::size_limit`]); see [`epgs_graph::generators`]. A spec
+    /// parsed by [`CorpusSpec::from_json`] has been checked against both.
     pub fn build(&self, size: usize, seed: u64) -> Graph {
         let mut rng = StdRng::seed_from_u64(seed);
         match *self {
@@ -341,12 +375,23 @@ pub enum SpecError {
     /// survive the `f64`-backed JSON layer faithfully.
     SeedTooLarge,
     /// A size-grid entry exceeds the family's representable range (e.g. a
-    /// hypercube dimension that does not fit in `u32`).
+    /// hypercube dimension whose `2^d` vertices overflow `usize`).
     SizeTooLarge {
         /// The family whose grid is out of range.
         family: &'static str,
         /// The offending size entry.
         size: usize,
+    },
+    /// The family's parameters cannot build an instance at a size-grid
+    /// entry: it breaks a generator precondition, such as a tree of arity
+    /// 0 or a random-regular degree at or above the vertex count.
+    Unbuildable {
+        /// The family whose grid breaks a generator precondition.
+        family: &'static str,
+        /// The offending size entry.
+        size: usize,
+        /// The precondition it breaks.
+        reason: &'static str,
     },
 }
 
@@ -370,6 +415,11 @@ impl std::fmt::Display for SpecError {
             SpecError::SizeTooLarge { family, size } => {
                 write!(f, "family '{family}': size {size} is out of range")
             }
+            SpecError::Unbuildable {
+                family,
+                size,
+                reason,
+            } => write!(f, "family '{family}': size {size}: {reason}"),
         }
     }
 }
@@ -536,9 +586,12 @@ impl CorpusSpec {
     /// [`SpecError::Json`] on malformed JSON, [`SpecError::Missing`] /
     /// [`SpecError::UnknownFamily`] / [`SpecError::UnknownHardware`] on
     /// schema violations, [`SpecError::SeedTooLarge`] for seeds above
-    /// 2^53 (whose `f64` JSON representation is already imprecise), and
+    /// 2^53 (whose `f64` JSON representation is already imprecise),
     /// [`SpecError::SizeTooLarge`] for a size grid beyond the family's
-    /// representable range ([`FamilyKind::size_limit`]).
+    /// representable range ([`FamilyKind::size_limit`]), and
+    /// [`SpecError::Unbuildable`] for parameters the generator cannot build
+    /// at some size. An accepted spec's [`CorpusSpec::instances`] never
+    /// panics.
     pub fn from_json(text: &str) -> Result<Self, SpecError> {
         let doc = Value::parse(text)?;
         let name = doc
@@ -570,11 +623,16 @@ impl CorpusSpec {
                 .iter()
                 .map(|s| s.as_usize().ok_or(SpecError::Missing("sizes")))
                 .collect::<Result<Vec<_>, _>>()?;
-            if let Some(limit) = kind.size_limit() {
-                if let Some(&size) = sizes.iter().find(|&&s| s > limit) {
-                    return Err(SpecError::SizeTooLarge {
-                        family: kind.name(),
+            let family = kind.name();
+            for &size in &sizes {
+                if kind.size_limit().is_some_and(|limit| size > limit) {
+                    return Err(SpecError::SizeTooLarge { family, size });
+                }
+                if let Some(reason) = kind.precondition_error(size) {
+                    return Err(SpecError::Unbuildable {
+                        family,
                         size,
+                        reason,
                     });
                 }
             }
@@ -729,9 +787,123 @@ mod tests {
         );
         // The limit itself is accepted by the parser (building it is the
         // caller's memory problem, not a representability one).
-        assert_eq!(FamilyKind::Hypercube.size_limit(), Some(u32::MAX as usize));
+        assert_eq!(
+            FamilyKind::Hypercube.size_limit(),
+            Some(usize::BITS as usize - 1)
+        );
         // Unbounded families are unaffected.
         assert_eq!(FamilyKind::Tree { arity: 2 }.size_limit(), None);
+    }
+
+    /// Parses a one-family spec and returns its error; a spec that parses
+    /// fails the test, so `instances()` is never reached.
+    fn parse_error(family: &str, sizes: &str) -> SpecError {
+        let text = format!(r#"{{"name": "x", "families": [{{{family}, "sizes": {sizes}}}]}}"#);
+        CorpusSpec::from_json(&text).expect_err("the generator would panic on this spec")
+    }
+
+    fn assert_unbuildable_at(err: SpecError, family: &'static str, size: usize) {
+        assert!(
+            matches!(err, SpecError::Unbuildable { family: f, size: s, .. } if f == family && s == size),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn tree_arity_zero_is_rejected() {
+        let err = parse_error(r#""family": "tree", "arity": 0"#, "[5]");
+        assert_unbuildable_at(err, "tree", 5);
+    }
+
+    #[test]
+    fn random_regular_degree_at_or_above_n_is_rejected() {
+        let err = parse_error(r#""family": "random_regular", "degree": 4"#, "[6, 4]");
+        assert_unbuildable_at(err, "random_regular", 4);
+    }
+
+    #[test]
+    fn random_regular_odd_degree_sum_is_rejected() {
+        let err = parse_error(r#""family": "random_regular", "degree": 3"#, "[6, 7]");
+        assert_unbuildable_at(err, "random_regular", 7);
+    }
+
+    #[test]
+    fn barabasi_albert_attach_zero_is_rejected() {
+        let err = parse_error(r#""family": "barabasi_albert", "attach": 0"#, "[5]");
+        assert_unbuildable_at(err, "barabasi_albert", 5);
+    }
+
+    #[test]
+    fn barabasi_albert_attach_at_or_above_n_is_rejected() {
+        let err = parse_error(r#""family": "barabasi_albert", "attach": 3"#, "[4, 3]");
+        assert_unbuildable_at(err, "barabasi_albert", 3);
+    }
+
+    #[test]
+    fn watts_strogatz_odd_neighbors_is_rejected() {
+        let err = parse_error(
+            r#""family": "watts_strogatz", "neighbors": 3, "beta": 0.2"#,
+            "[10]",
+        );
+        assert_unbuildable_at(err, "watts_strogatz", 10);
+    }
+
+    #[test]
+    fn watts_strogatz_neighbors_below_two_is_rejected() {
+        let err = parse_error(
+            r#""family": "watts_strogatz", "neighbors": 0, "beta": 0.2"#,
+            "[10]",
+        );
+        assert_unbuildable_at(err, "watts_strogatz", 10);
+    }
+
+    #[test]
+    fn watts_strogatz_neighbors_at_or_above_n_is_rejected() {
+        let err = parse_error(
+            r#""family": "watts_strogatz", "neighbors": 4, "beta": 0.2"#,
+            "[5, 4]",
+        );
+        assert_unbuildable_at(err, "watts_strogatz", 4);
+    }
+
+    #[test]
+    fn heavy_hex_zero_rows_is_rejected() {
+        let err = parse_error(r#""family": "heavy_hex", "rows": 0"#, "[2]");
+        assert_unbuildable_at(err, "heavy_hex", 2);
+    }
+
+    #[test]
+    fn heavy_hex_zero_columns_is_rejected() {
+        let err = parse_error(r#""family": "heavy_hex", "rows": 1"#, "[2, 0]");
+        assert_unbuildable_at(err, "heavy_hex", 0);
+    }
+
+    #[test]
+    fn hypercube_dimension_of_usize_bits_is_rejected() {
+        let bits = usize::BITS as usize;
+        let err = parse_error(r#""family": "hypercube""#, &format!("[3, {bits}]"));
+        assert_eq!(
+            err,
+            SpecError::SizeTooLarge {
+                family: "hypercube",
+                size: bits,
+            }
+        );
+    }
+
+    #[test]
+    fn parameters_at_the_generator_bounds_are_accepted_and_build() {
+        let text = r#"{"name": "edge", "families": [
+            {"family": "tree", "arity": 1, "sizes": [3]},
+            {"family": "random_regular", "degree": 3, "sizes": [4]},
+            {"family": "random_regular", "degree": 0, "sizes": [0]},
+            {"family": "barabasi_albert", "attach": 1, "sizes": [2]},
+            {"family": "watts_strogatz", "neighbors": 2, "beta": 0.5, "sizes": [3]},
+            {"family": "heavy_hex", "rows": 1, "sizes": [1]},
+            {"family": "hypercube", "sizes": [0]}
+        ]}"#;
+        let spec = CorpusSpec::from_json(text).unwrap();
+        assert_eq!(spec.instances().len(), 7);
     }
 
     #[test]

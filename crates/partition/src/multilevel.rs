@@ -2,8 +2,8 @@
 //!
 //! The flat FM search (`crate::fm`) scales as O(restarts · passes · n²) once
 //! its swap pass engages, which made the partition stage ~98% of end-to-end
-//! compile time at n = 100 (see BENCH_runtime.json before this module). The
-//! multilevel scheme replaces that with the classic three-phase pipeline:
+//! compile time at n = 100 before this module. The multilevel scheme
+//! replaces that with the classic three-phase pipeline:
 //!
 //! 1. **Coarsen** — deterministic seeded heavy-edge matching folds matched
 //!    vertex pairs into weighted coarse vertices (edge weights accumulate
@@ -821,7 +821,7 @@ fn refine_level(
 }
 
 /// Per-level trace of one multilevel run (coarsest level last), for the
-/// `runtime_scaling` bench and the invariants tests.
+/// benchmark's per-layer metrics and the invariants tests.
 #[derive(Debug, Clone)]
 pub struct LevelTrace {
     /// Vertices at this level.

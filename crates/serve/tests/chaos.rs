@@ -17,7 +17,7 @@ use std::thread;
 use std::time::Duration;
 
 use epgs::faults::FaultPlan;
-use epgs::FrameworkConfig;
+use epgs::{ArtifactStore, BatchCompiler, FrameworkConfig};
 use epgs_circuit::qasm::to_qasm;
 use epgs_corpus::CorpusSpec;
 use epgs_graph::generators;
@@ -400,5 +400,77 @@ fn twice_corrupt_store_entries_are_quarantined_and_never_served() {
         ServeOutcome::Compiled,
         "quarantine must survive a daemon restart"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The fixed seeded fault plan whose counters are pinned below: panics,
+/// slow compiles, bit flips and I/O errors on store reads and writes, and
+/// multilevel failures, each at its own rate.
+const CHAOS_SPEC: &str = "seed=0xbe9c;\
+     serve.compile:panic@1/10;\
+     batch.compile:slow(5)@1/6;\
+     store.read:bitflip@1/6;\
+     store.read:io@1/8;\
+     store.write:io@1/8;\
+     partition.multilevel:fail@1/3";
+
+/// Chaos replay gate: the fault coin is a pure function of the plan seed
+/// and each point's call count, so two sequential passes over the default
+/// corpus plus five already-expired requests yield exactly these counters.
+/// A change in how often a layer reaches a fault point, or in how the
+/// engine handles a fault, moves them. No deadline is set on the passes,
+/// so no counter depends on wall-clock time. The cache capacity decides
+/// which requests reach the store's fault points, so the engine is built
+/// with the default capacity.
+#[test]
+fn a_seeded_fault_plan_yields_the_pinned_counters() {
+    quiet_injected_panics();
+    let dir = temp_dir("pinned");
+    let plan = Arc::new(FaultPlan::parse(CHAOS_SPEC).expect("chaos spec parses"));
+    let mut batch = BatchCompiler::new(default_config());
+    batch.attach_store(ArtifactStore::open(&dir).expect("open store"));
+    let mut engine = ServeEngine::from_batch(batch);
+    engine.set_fault_plan(Arc::clone(&plan));
+
+    let jobs: Vec<_> = CorpusSpec::default_corpus()
+        .instances()
+        .into_iter()
+        .map(|i| i.graph)
+        .collect();
+    let mut replies = Vec::new();
+    for _ in 0..2 {
+        replies.extend(jobs.iter().map(|g| engine.compile(g)));
+    }
+    replies.extend(
+        jobs.iter()
+            .take(5)
+            .map(|g| engine.compile_with_deadline(g, Some(Duration::ZERO))),
+    );
+
+    let mut errors = BTreeMap::new();
+    for reply in &replies {
+        if let Err(e) = &reply.result {
+            *errors.entry(e.kind.as_str()).or_insert(0usize) += 1;
+        }
+    }
+    assert_eq!(
+        errors,
+        BTreeMap::from([("deadline_exceeded", 5), ("panic", 5)])
+    );
+    assert_eq!(replies.iter().filter(|r| r.degraded).count(), 35);
+    let store = engine.batch().store().expect("store attached").stats();
+    assert_eq!((store.read_retries, store.quarantined), (5, 0));
+    let hits: Vec<(String, u64)> = [
+        ("serve.compile:panic", 5),
+        ("batch.compile:slow", 7),
+        ("store.read:bitflip", 7),
+        ("store.read:io", 5),
+        ("store.write:io", 0),
+        ("partition.multilevel:fail", 2815),
+    ]
+    .into_iter()
+    .map(|(label, n)| (label.to_string(), n))
+    .collect();
+    assert_eq!(plan.hits(), hits);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -28,7 +28,6 @@
 pub mod error;
 pub mod graph_form;
 pub mod pauli;
-pub mod reference;
 pub mod tableau;
 pub mod verify;
 

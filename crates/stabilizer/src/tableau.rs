@@ -23,8 +23,8 @@
 //! row of a mask simultaneously, with the reordering signs accumulated as a
 //! packed parity vector. Gauge sweeps (measurement, canonicalization,
 //! echelon form, graph-form reduction, the solver's wire isolation) are all
-//! built on that broadcast. The scalar original is preserved in
-//! [`crate::reference`] as the oracle the equivalence suite tests against.
+//! built on that broadcast. The scalar original is kept, as the oracle,
+//! next to the equivalence suite in `tests/reference/mod.rs`.
 //!
 //! The gate set is the Clifford generators used by the emitter-photonic
 //! compiler: `H`, `S`/`S†`, Paulis, `CNOT`, `CZ`, plus row operations and a
@@ -385,7 +385,7 @@ impl Tableau {
         // touches every column regardless; what it must NOT do is branch on
         // the (uniformly random) src bits — three mispredicted branches per
         // column once made this the one class slower than the row-major
-        // reference (see the `row_mul` baseline note in BENCH_tableau.json).
+        // reference tableau.
         // The loop below is fully branchless — src bits are extracted as
         // 0/1 words and XORed in shifted, the reordering parity accumulates
         // in bit 0 of `swaps` — which holds the class at ≥ 2× the reference.

@@ -7,10 +7,12 @@
 //! through both engines, and after **every** step compares all X/Z bits, all
 //! phase exponents, and any [`MeasureOutcome`] the step produced.
 
+mod reference;
+
 use proptest::prelude::*;
 
-use epgs_stabilizer::reference::RefTableau;
 use epgs_stabilizer::{MeasureOutcome, Tableau};
+use reference::RefTableau;
 
 /// One mutating step of the driving program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -3,15 +3,11 @@
 //! This is the original, straightforward implementation of the phase-tracked
 //! stabilizer tableau: X/Z bits in row-major [`BitMatrix`] storage, one `u8`
 //! phase exponent per row, and gates that visit every generator row with
-//! single-bit reads. The production [`crate::Tableau`] replaced it with a
-//! bit-sliced word-parallel engine; this copy is kept for two jobs:
-//!
-//! * **Semantic oracle** — the randomized equivalence tests drive identical
-//!   gate/measurement sequences through both engines and require every X/Z
-//!   bit, phase exponent, and measurement outcome to match.
-//! * **Benchmark baseline** — `tableau_bench` measures the word-parallel
-//!   engine's gate throughput against this one, so the recorded speedup is a
-//!   like-for-like comparison on the same workload.
+//! single-bit reads. The production [`epgs_stabilizer::Tableau`] replaced it with a
+//! bit-sliced word-parallel engine; this copy is kept as the semantic
+//! oracle: the randomized equivalence tests drive identical
+//! gate/measurement sequences through both engines and require every X/Z
+//! bit, phase exponent, and measurement outcome to match.
 //!
 //! Keep this module dumb on purpose: any optimization applied here would
 //! erode its value as ground truth.
@@ -19,12 +15,12 @@
 use epgs_graph::gf2::BitMatrix;
 use epgs_graph::Graph;
 
-use crate::tableau::MeasureOutcome;
+use epgs_stabilizer::MeasureOutcome;
 
 /// Row-major, per-bit reference implementation of the stabilizer tableau.
 ///
 /// Semantics (phase convention, gate set, forced-outcome measurement) are
-/// identical to [`crate::Tableau`]; only the data layout and loop structure
+/// identical to [`epgs_stabilizer::Tableau`]; only the data layout and loop structure
 /// differ.
 #[derive(Clone, PartialEq, Eq)]
 pub struct RefTableau {
@@ -216,7 +212,7 @@ impl RefTableau {
     }
 
     /// Measures qubit `q` in the Z basis, collapsing random outcomes onto
-    /// `forced`. Same contract as [`crate::Tableau::measure_z`].
+    /// `forced`. Same contract as [`epgs_stabilizer::Tableau::measure_z`].
     pub fn measure_z(&mut self, q: usize, forced: bool) -> MeasureOutcome {
         let pivot = (0..self.n).find(|&r| self.x.get(r, q));
         match pivot {
@@ -244,7 +240,7 @@ impl RefTableau {
     }
 
     /// Deterministic-measurement sign of `Z_q`, or `None` if an X is present
-    /// at `q`. Same contract as [`crate::Tableau::deterministic_z_sign`].
+    /// at `q`. Same contract as [`epgs_stabilizer::Tableau::deterministic_z_sign`].
     pub fn deterministic_z_sign(&self, q: usize) -> Option<bool> {
         if (0..self.n).any(|r| self.x.get(r, q)) {
             return None;
