@@ -547,20 +547,12 @@ pub fn decode(text: &str, key: CacheKey, pipeline: &Pipeline) -> Result<Planned,
 mod tests {
     use super::*;
     use crate::batch::config_fingerprint;
-    use crate::config::FrameworkConfig;
+    use crate::config::quick_config;
     use epgs_graph::canon::canonical_hash;
     use epgs_graph::generators;
 
     fn quick_pipeline() -> Pipeline {
-        Pipeline::new(
-            FrameworkConfig::builder()
-                .g_max(5)
-                .lc_budget(3)
-                .partition_effort(4)
-                .orderings_per_subgraph(4)
-                .flexible_slack(1)
-                .build(),
-        )
+        Pipeline::new(quick_config())
     }
 
     fn key_for(pipeline: &Pipeline, g: &Graph) -> CacheKey {

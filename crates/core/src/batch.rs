@@ -57,13 +57,6 @@ use crate::store::{ArtifactStore, StoreStats};
 /// Two configurations with equal fingerprints compile any graph
 /// identically, so the fingerprint is the config half of the cache key.
 pub fn config_fingerprint(cfg: &FrameworkConfig) -> u64 {
-    let strategy_code = |s: &RecombineStrategy| -> u64 {
-        match s {
-            RecombineStrategy::ScheduledInterleave => 1,
-            RecombineStrategy::BlockSequential => 2,
-            RecombineStrategy::DirectSolve => 3,
-        }
-    };
     let hardware_words = |hw: &HardwareModel| -> [u64; 8] {
         [
             fnv1a_all(hw.name.bytes().map(u64::from)),
@@ -115,14 +108,12 @@ pub fn config_fingerprint(cfg: &FrameworkConfig) -> u64 {
         cfg.partition.seed,
         cfg.orderings_per_subgraph as u64,
         cfg.flexible_slack as u64,
-        cfg.seed,
     ]
     .into_iter()
     .chain(scheme_words)
     .chain(hardware_words(&cfg.hardware))
     .chain(budget_words)
-    .chain(objective_words)
-    .chain(cfg.recombine.iter().map(strategy_code));
+    .chain(objective_words);
     fnv1a_all(words)
 }
 
@@ -155,7 +146,7 @@ pub struct CacheStats {
     /// (isomorphic or WL-colliding) — counted within `misses`.
     pub bucket_collisions: usize,
     /// Entries dropped — by the LRU capacity bound or by explicit
-    /// [`ArtifactCache::evict`] / [`ArtifactCache::clear`] calls.
+    /// [`ArtifactCache::evict`] calls.
     pub evictions: usize,
     /// Entries discarded because their result no longer matched their
     /// graph (corruption guard) — counted within `misses`.
@@ -273,13 +264,6 @@ impl ArtifactCache {
         self.stats.evictions += dropped;
         self.entries -= dropped;
         dropped
-    }
-
-    /// Drops all entries (counters are kept).
-    pub fn clear(&mut self) {
-        self.stats.evictions += self.len();
-        self.buckets.clear();
-        self.entries = 0;
     }
 
     fn evict_lru(&mut self) {
@@ -695,10 +679,13 @@ impl BatchReport {
 /// result through the content-addressed cache.
 ///
 /// ```
-/// use epgs::{BatchCompiler, BatchInstance, FrameworkConfig};
+/// use epgs::{BatchCompiler, BatchInstance, FrameworkConfig, PartitionSpec};
 /// use epgs_graph::generators;
 ///
-/// let batch = BatchCompiler::new(FrameworkConfig::builder().g_max(4).build());
+/// let batch = BatchCompiler::new(FrameworkConfig {
+///     partition: PartitionSpec { g_max: 4, ..Default::default() },
+///     ..Default::default()
+/// });
 /// let report = batch.run(&[
 ///     BatchInstance::new("path-6", "path", generators::path(6)),
 ///     BatchInstance::new("path-6-again", "path", generators::path(6)),
@@ -799,11 +786,6 @@ impl BatchCompiler {
     /// Number of artifacts currently cached.
     pub fn cache_len(&self) -> usize {
         lock_recover(&self.cache).len()
-    }
-
-    /// Drops every cached artifact (counters survive).
-    pub fn clear_cache(&self) {
-        lock_recover(&self.cache).clear();
     }
 
     /// Evicts the cache entries for `graph`; returns how many were
@@ -1080,19 +1062,10 @@ impl BatchCompiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FrameworkConfig;
+    use crate::config::quick_config;
     use epgs_graph::canon::relabel;
     use epgs_graph::generators;
-
-    fn quick_config() -> FrameworkConfig {
-        FrameworkConfig::builder()
-            .g_max(5)
-            .lc_budget(3)
-            .partition_effort(4)
-            .orderings_per_subgraph(4)
-            .flexible_slack(1)
-            .build()
-    }
+    use epgs_partition::PartitionSpec;
 
     #[test]
     fn expired_deadline_on_a_cold_compile_is_a_structured_timeout() {
@@ -1264,8 +1237,15 @@ mod tests {
 
     #[test]
     fn different_configs_fingerprint_and_cache_separately() {
+        let g_max_4 = FrameworkConfig {
+            partition: PartitionSpec {
+                g_max: 4,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
         let a = config_fingerprint(&quick_config());
-        let b = config_fingerprint(&FrameworkConfig::builder().g_max(4).build());
+        let b = config_fingerprint(&g_max_4);
         assert_ne!(a, b, "distinct configs must not share a fingerprint");
         assert_eq!(
             a,
@@ -1276,7 +1256,7 @@ mod tests {
         // Same graph under two compilers with different configs: both miss.
         let g = generators::path(6);
         let batch_a = BatchCompiler::new(quick_config());
-        let batch_b = BatchCompiler::new(FrameworkConfig::builder().g_max(4).build());
+        let batch_b = BatchCompiler::new(g_max_4);
         assert_eq!(
             batch_a.compile_instance("a", "path", &g).0.cache,
             CacheOutcome::Miss

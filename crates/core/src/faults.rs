@@ -12,8 +12,7 @@
 //!
 //! The related DAC line of work configures algorithm behavior per instance
 //! and per phase at runtime; these hooks are the same shape — a runtime
-//! policy consulted at named points — aimed at fault tolerance first and
-//! reusable by a future `TuningPolicy` (ROADMAP item 4).
+//! policy consulted at named points — aimed at fault tolerance.
 //!
 //! # Plan grammar
 //!
@@ -398,11 +397,6 @@ impl FaultPlan {
     /// on the same engine.
     pub fn disarm(&self) {
         self.armed.store(false, Ordering::Relaxed);
-    }
-
-    /// Whether the plan is still armed.
-    pub fn is_armed(&self) -> bool {
-        self.armed.load(Ordering::Relaxed)
     }
 
     /// Per-rule hit counts, labeled `point:kind`, in rule order.

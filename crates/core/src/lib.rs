@@ -26,13 +26,14 @@
 //! across blocks.
 //!
 //! ```
-//! use epgs::{FrameworkConfig, Pipeline};
+//! use epgs::{FrameworkConfig, PartitionSpec, Pipeline};
 //! use epgs_graph::generators;
 //!
 //! # fn main() -> Result<(), epgs::FrameworkError> {
-//! let pipeline = Pipeline::new(
-//!     FrameworkConfig::builder().g_max(5).lc_budget(4).build(),
-//! );
+//! let pipeline = Pipeline::new(FrameworkConfig {
+//!     partition: PartitionSpec { g_max: 5, lc_budget: 4, ..Default::default() },
+//!     ..Default::default()
+//! });
 //! let planned = pipeline.partition(&generators::lattice(3, 3)).plan_leaves()?;
 //! // Sweep Ne_limit without re-partitioning or re-solving leaves:
 //! for budget in [2, 3] {
@@ -65,11 +66,10 @@
 //! # }
 //! ```
 //!
-//! Recombination is pluggable: [`RecombineStrategy`] selects which global
-//! assembly candidates compete (scheduled interleave, block-sequential,
-//! direct solve), configured per run via
-//! [`FrameworkConfig::recombine`] or per call via
-//! [`Scheduled::recombine_with`].
+//! Recombination is pluggable: [`Scheduled::recombine`] runs every
+//! [`RecombineStrategy`] (scheduled interleave, block-sequential, direct
+//! solve) in competition, and [`Scheduled::recombine_with`] runs a chosen
+//! subset.
 //!
 //! # The hardware-aware objective layer
 //!
@@ -88,13 +88,12 @@
 //! use epgs_hardware::HardwareModel;
 //!
 //! # fn main() -> Result<(), epgs::FrameworkError> {
-//! let rydberg = HardwareModel::rydberg();
-//! let pipeline = Pipeline::new(
-//!     FrameworkConfig::builder()
-//!         .objective(CompileObjective::Duration(rydberg.clone()))
-//!         .platform(rydberg)
-//!         .build(),
-//! );
+//! let mut config = FrameworkConfig {
+//!     objective: CompileObjective::Duration(HardwareModel::quantum_dot()),
+//!     ..Default::default()
+//! };
+//! config.set_platform(HardwareModel::rydberg());
+//! let pipeline = Pipeline::new(config);
 //! let compiled = pipeline.compile(&generators::lattice(3, 3))?;
 //! assert_eq!(compiled.objective.kind_name(), "duration");
 //! assert!(compiled.loss_report().mean_photon_loss < 1.0);
@@ -111,10 +110,13 @@
 //! already-verified result without running any pipeline stage:
 //!
 //! ```
-//! use epgs::{BatchCompiler, BatchInstance, FrameworkConfig};
+//! use epgs::{BatchCompiler, BatchInstance, FrameworkConfig, PartitionSpec};
 //! use epgs_graph::generators;
 //!
-//! let batch = BatchCompiler::new(FrameworkConfig::builder().g_max(4).build());
+//! let batch = BatchCompiler::new(FrameworkConfig {
+//!     partition: PartitionSpec { g_max: 4, ..Default::default() },
+//!     ..Default::default()
+//! });
 //! let jobs = vec![
 //!     BatchInstance::new("ring-8", "cycle", generators::cycle(8)),
 //!     BatchInstance::new("ring-8-dup", "cycle", generators::cycle(8)),
@@ -139,7 +141,7 @@ pub use batch::{
     config_fingerprint, ArtifactCache, BatchCompiler, BatchInstance, BatchReport, CacheKey,
     CacheOutcome, CacheStats, FamilySummary, InstanceMetrics, InstanceReport,
 };
-pub use config::{EmitterBudget, FrameworkConfig, FrameworkConfigBuilder};
+pub use config::{EmitterBudget, FrameworkConfig};
 pub use epgs_hardware::{CompileObjective, ObjectiveFigures, ObjectiveScore};
 pub use epgs_partition::{MultilevelOptions, PartitionScheme, PartitionSpec};
 pub use error::FrameworkError;

@@ -24,11 +24,14 @@
 //! A two-budget sweep that partitions and compiles leaves exactly once:
 //!
 //! ```
-//! use epgs::{FrameworkConfig, Pipeline};
+//! use epgs::{FrameworkConfig, PartitionSpec, Pipeline};
 //! use epgs_graph::generators;
 //!
 //! # fn main() -> Result<(), epgs::FrameworkError> {
-//! let pipeline = Pipeline::new(FrameworkConfig::builder().g_max(5).build());
+//! let pipeline = Pipeline::new(FrameworkConfig {
+//!     partition: PartitionSpec { g_max: 5, ..Default::default() },
+//!     ..Default::default()
+//! });
 //! let planned = pipeline.partition(&generators::lattice(3, 3)).plan_leaves()?;
 //! for budget in [2, 4] {
 //!     let compiled = planned.schedule(budget).recombine()?.verify()?;
@@ -188,24 +191,6 @@ impl Pipeline {
             .recombine()?
             .verify()
     }
-
-    /// Compiles `target` once per budget in `budgets`, running partition and
-    /// leaf compilation exactly once (the §V.B.2 sweep fast path).
-    ///
-    /// # Errors
-    ///
-    /// See [`Pipeline::compile`]; the first failing budget aborts.
-    pub fn sweep(
-        &self,
-        target: &Graph,
-        budgets: &[usize],
-    ) -> Result<Vec<Compiled>, FrameworkError> {
-        let planned = self.partition(target).plan_leaves()?;
-        budgets
-            .iter()
-            .map(|&b| planned.schedule(b).recombine()?.verify())
-            .collect()
-    }
 }
 
 /// Minimal emitter count of `g` over the deterministic ordering strategies —
@@ -226,18 +211,11 @@ pub(crate) fn ne_min_of(g: &Graph) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::quick_config;
     use epgs_graph::generators;
 
     fn quick_pipeline() -> Pipeline {
-        Pipeline::new(
-            FrameworkConfig::builder()
-                .g_max(5)
-                .lc_budget(3)
-                .partition_effort(4)
-                .orderings_per_subgraph(4)
-                .flexible_slack(1)
-                .build(),
-        )
+        Pipeline::new(quick_config())
     }
 
     /// Compiles `g` through the stage chain at an explicit budget.
@@ -299,19 +277,18 @@ mod tests {
     fn lc_inverse_roundtrip_via_verification() {
         // A complete graph forces the partitioner to use LC; verification
         // inside compile() then proves append_lc_inverse is correct.
-        let p = Pipeline::new(
-            FrameworkConfig::builder()
-                .partition(epgs_partition::PartitionSpec {
-                    g_max: 3,
-                    lc_budget: 5,
-                    effort: 6,
-                    seed: 2,
-                    ..Default::default()
-                })
-                .orderings_per_subgraph(4)
-                .flexible_slack(1)
-                .build(),
-        );
+        let p = Pipeline::new(FrameworkConfig {
+            partition: epgs_partition::PartitionSpec {
+                g_max: 3,
+                lc_budget: 5,
+                effort: 6,
+                seed: 2,
+                ..Default::default()
+            },
+            orderings_per_subgraph: 4,
+            flexible_slack: 1,
+            ..Default::default()
+        });
         let c = p.compile(&generators::complete(6)).expect("K6 compiles");
         assert!(
             !c.partition.lc_sequence.is_empty(),
@@ -364,8 +341,11 @@ mod tests {
     fn sweep_plans_once_and_schedules_per_budget() {
         let p = quick_pipeline();
         let g = generators::lattice(3, 4);
-        let compiled = p.sweep(&g, &[2, 3, 4]).unwrap();
-        assert_eq!(compiled.len(), 3);
+        let planned = p.partition(&g).plan_leaves().unwrap();
+        let compiled: Vec<Compiled> = [2, 3, 4]
+            .iter()
+            .map(|&b| planned.schedule(b).recombine().unwrap().verify().unwrap())
+            .collect();
         let c = p.counters();
         assert_eq!((c.partition, c.plan), (1, 1));
         assert_eq!(c.schedule, 3);

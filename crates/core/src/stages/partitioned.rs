@@ -19,10 +19,13 @@ use crate::stages::{ne_min_of, Shared};
 /// # Examples
 ///
 /// ```
-/// use epgs::{FrameworkConfig, Pipeline};
+/// use epgs::{FrameworkConfig, PartitionSpec, Pipeline};
 /// use epgs_graph::generators;
 ///
-/// let pipeline = Pipeline::new(FrameworkConfig::builder().g_max(4).build());
+/// let pipeline = Pipeline::new(FrameworkConfig {
+///     partition: PartitionSpec { g_max: 4, ..Default::default() },
+///     ..Default::default()
+/// });
 /// let partitioned = pipeline.partition(&generators::lattice(3, 3));
 /// assert!(partitioned.partition().respects_capacity(4));
 /// assert!(partitioned.ne_min() >= 1);
@@ -103,10 +106,17 @@ mod tests {
     use crate::config::FrameworkConfig;
     use crate::stages::Pipeline;
     use epgs_graph::generators;
+    use epgs_partition::PartitionSpec;
 
     #[test]
     fn partition_respects_capacity_and_counts_ne_min() {
-        let p = Pipeline::new(FrameworkConfig::builder().g_max(5).build());
+        let p = Pipeline::new(FrameworkConfig {
+            partition: PartitionSpec {
+                g_max: 5,
+                ..Default::default()
+            },
+            ..Default::default()
+        });
         let art = p.partition(&generators::lattice(3, 4));
         assert!(art.partition().respects_capacity(5));
         let expected = crate::stages::ne_min_of(&generators::lattice(3, 4));
@@ -117,7 +127,13 @@ mod tests {
 
     #[test]
     fn partitioned_is_cheaply_cloneable_and_stable() {
-        let p = Pipeline::new(FrameworkConfig::builder().g_max(4).build());
+        let p = Pipeline::new(FrameworkConfig {
+            partition: PartitionSpec {
+                g_max: 4,
+                ..Default::default()
+            },
+            ..Default::default()
+        });
         let a = p.partition(&generators::tree(10, 2));
         let b = a.clone();
         assert_eq!(a.partition(), b.partition());
@@ -127,7 +143,13 @@ mod tests {
 
     #[test]
     fn repartitioning_same_target_is_deterministic() {
-        let p = Pipeline::new(FrameworkConfig::builder().g_max(5).build());
+        let p = Pipeline::new(FrameworkConfig {
+            partition: PartitionSpec {
+                g_max: 5,
+                ..Default::default()
+            },
+            ..Default::default()
+        });
         let g = generators::cycle(11);
         let a = p.partition(&g);
         let b = p.partition(&g);

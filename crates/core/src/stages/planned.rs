@@ -14,6 +14,10 @@ use crate::stages::scheduled::Scheduled;
 use crate::stages::Shared;
 use crate::subgraph::{compile_subgraph, SubgraphPlan};
 
+/// Base seed of the randomized leaf solves; block `i` solves under
+/// `LEAF_SEED + i` (plus a per-refinement offset).
+const LEAF_SEED: u64 = 0xec05;
+
 /// Partition plus plans, shared immutably by every schedule derived from it.
 #[derive(Debug)]
 pub(crate) struct PlannedData {
@@ -30,11 +34,14 @@ pub(crate) struct PlannedData {
 /// number of budgets can be scheduled off one plan:
 ///
 /// ```
-/// use epgs::{FrameworkConfig, Pipeline};
+/// use epgs::{FrameworkConfig, PartitionSpec, Pipeline};
 /// use epgs_graph::generators;
 ///
 /// # fn main() -> Result<(), epgs::FrameworkError> {
-/// let pipeline = Pipeline::new(FrameworkConfig::builder().g_max(4).build());
+/// let pipeline = Pipeline::new(FrameworkConfig {
+///     partition: PartitionSpec { g_max: 4, ..Default::default() },
+///     ..Default::default()
+/// });
 /// let planned = pipeline.partition(&generators::tree(9, 2)).plan_leaves()?;
 /// assert!(!planned.plans().is_empty());
 /// let tight = planned.schedule(1);
@@ -75,7 +82,7 @@ impl Planned {
                 &cfg.objective,
                 cfg.orderings_per_subgraph,
                 cfg.flexible_slack,
-                cfg.seed.wrapping_add(i as u64).wrapping_add(seed_extra),
+                LEAF_SEED.wrapping_add(i as u64).wrapping_add(seed_extra),
             )
             .map_err(FrameworkError::from)
         };
@@ -231,20 +238,13 @@ impl Planned {
 
 #[cfg(test)]
 mod tests {
-    use crate::config::FrameworkConfig;
+    use crate::config::{quick_config, FrameworkConfig};
     use crate::stages::Pipeline;
     use epgs_graph::generators;
+    use epgs_partition::PartitionSpec;
 
     fn pipeline() -> Pipeline {
-        Pipeline::new(
-            FrameworkConfig::builder()
-                .g_max(5)
-                .lc_budget(3)
-                .partition_effort(4)
-                .orderings_per_subgraph(4)
-                .flexible_slack(1)
-                .build(),
-        )
+        Pipeline::new(quick_config())
     }
 
     #[test]
@@ -284,13 +284,15 @@ mod tests {
 
     #[test]
     fn refinement_never_exceeds_global_lc_budget() {
-        let p = Pipeline::new(
-            FrameworkConfig::builder()
-                .g_max(3)
-                .lc_budget(5)
-                .partition_effort(6)
-                .build(),
-        );
+        let p = Pipeline::new(FrameworkConfig {
+            partition: PartitionSpec {
+                g_max: 3,
+                lc_budget: 5,
+                effort: 6,
+                ..Default::default()
+            },
+            ..Default::default()
+        });
         let planned = p.partition(&generators::complete(6)).plan_leaves().unwrap();
         assert!(planned.partition().lc_sequence.len() <= 5);
         assert_eq!(planned.partition().cut, planned.partition().recompute_cut());

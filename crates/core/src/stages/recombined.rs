@@ -19,15 +19,13 @@ use crate::subgraph::SubgraphPlan;
 
 /// How the scheduled leaf circuits are recombined into one global circuit.
 ///
-/// Strategies are tried in the configured order and compete under the
-/// configured [`CompileObjective`] (the default,
-/// [`CompileObjective::Emitters`], is the paper's lexicographic #ee-CNOT,
-/// then `T_loss`, then duration order); see
-/// [`crate::FrameworkConfig::recombine`] and
-/// [`crate::FrameworkConfig::objective`]. The default order — scheduled
-/// interleave, block-sequential, direct solve — reproduces the original
-/// hard-coded candidate list, letting the framework degenerate gracefully
-/// when partitioning does not pay.
+/// Strategies are tried in order and compete under the configured
+/// [`CompileObjective`] (the default, [`CompileObjective::Emitters`], is
+/// the paper's lexicographic #ee-CNOT, then `T_loss`, then duration
+/// order; see [`crate::FrameworkConfig::objective`]).
+/// [`Scheduled::recombine`] runs [`RecombineStrategy::all`] — scheduled
+/// interleave, block-sequential, direct solve — letting the framework
+/// degenerate gracefully when partitioning does not pay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecombineStrategy {
     /// One global time-reversed solve over the transformed graph in the
@@ -60,11 +58,14 @@ impl RecombineStrategy {
 /// degenerate-partition case observable:
 ///
 /// ```
-/// use epgs::{FrameworkConfig, Pipeline, RecombineStrategy};
+/// use epgs::{FrameworkConfig, PartitionSpec, Pipeline, RecombineStrategy};
 /// use epgs_graph::generators;
 ///
 /// # fn main() -> Result<(), epgs::FrameworkError> {
-/// let pipeline = Pipeline::new(FrameworkConfig::builder().g_max(4).build());
+/// let pipeline = Pipeline::new(FrameworkConfig {
+///     partition: PartitionSpec { g_max: 4, ..Default::default() },
+///     ..Default::default()
+/// });
 /// let recombined = pipeline
 ///     .partition(&generators::path(6))
 ///     .plan_leaves()?
@@ -93,10 +94,10 @@ impl Recombined {
     pub(crate) fn build(
         stage: &Scheduled,
         strategies: &[RecombineStrategy],
-        objective: &CompileObjective,
     ) -> Result<Self, FrameworkError> {
         let shared = Arc::clone(&stage.shared);
         let cfg = &shared.config;
+        let objective = &cfg.objective;
         let data = &stage.data;
         let plans = &data.plans;
         let partition = &data.partition;
@@ -208,6 +209,7 @@ impl Recombined {
         // cancellable single-qubit pairs behind.
         epgs_circuit::optimize::cancel_inverse_pairs(&mut circuit);
         let metrics = circuit_metrics(&cfg.hardware, &circuit);
+        let objective = objective.clone();
 
         shared
             .counters
@@ -223,7 +225,7 @@ impl Recombined {
             metrics,
             global_ordering,
             strategy,
-            objective: objective.clone(),
+            objective,
         })
     }
 
@@ -422,20 +424,12 @@ fn append_lc_inverse(circuit: &mut Circuit, original: &Graph, lc_sequence: &[usi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FrameworkConfig;
+    use crate::config::quick_config;
     use crate::stages::Pipeline;
     use epgs_graph::generators;
 
     fn pipeline() -> Pipeline {
-        Pipeline::new(
-            FrameworkConfig::builder()
-                .g_max(5)
-                .lc_budget(3)
-                .partition_effort(4)
-                .orderings_per_subgraph(4)
-                .flexible_slack(1)
-                .build(),
-        )
+        Pipeline::new(quick_config())
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use std::sync::Arc;
 
 use epgs_graph::Graph;
-use epgs_hardware::CompileObjective;
 
 use crate::error::FrameworkError;
 use crate::schedule::Schedule;
@@ -21,11 +20,14 @@ use crate::stages::Shared;
 /// # Examples
 ///
 /// ```
-/// use epgs::{FrameworkConfig, Pipeline};
+/// use epgs::{FrameworkConfig, PartitionSpec, Pipeline};
 /// use epgs_graph::generators;
 ///
 /// # fn main() -> Result<(), epgs::FrameworkError> {
-/// let pipeline = Pipeline::new(FrameworkConfig::builder().g_max(4).build());
+/// let pipeline = Pipeline::new(FrameworkConfig {
+///     partition: PartitionSpec { g_max: 4, ..Default::default() },
+///     ..Default::default()
+/// });
 /// let planned = pipeline.partition(&generators::lattice(3, 3)).plan_leaves()?;
 /// let scheduled = planned.schedule(2);
 /// assert_eq!(scheduled.ne_limit(), 2);
@@ -70,17 +72,14 @@ impl Scheduled {
     }
 
     /// Stage 4: recombines the scheduled leaf circuits into one global
-    /// circuit using the configured
-    /// [recombination strategies](crate::FrameworkConfig::recombine) and
+    /// circuit, every [`RecombineStrategy`] competing under the configured
     /// [objective](crate::FrameworkConfig::objective).
     ///
     /// # Errors
     ///
-    /// [`FrameworkError::Solver`] if every candidate solve fails, or
-    /// [`FrameworkError::NoRecombineStrategy`] if the configured strategy
-    /// list is empty.
+    /// [`FrameworkError::Solver`] if every candidate solve fails.
     pub fn recombine(&self) -> Result<Recombined, FrameworkError> {
-        self.recombine_with(&self.shared.config.recombine)
+        self.recombine_with(&RecombineStrategy::all())
     }
 
     /// Stage 4 with an explicit strategy list, tried in order; the best
@@ -97,43 +96,7 @@ impl Scheduled {
         &self,
         strategies: &[RecombineStrategy],
     ) -> Result<Recombined, FrameworkError> {
-        Recombined::build(self, strategies, &self.shared.config.objective)
-    }
-
-    /// Stage 4 with an explicit objective, overriding the configured one
-    /// for this call only. Only the recombination competition is re-scored:
-    /// the leaf circuits underneath were already selected under the
-    /// *configured* objective, so this is a cheap approximation of a
-    /// platform's preference, not a full re-compile — for an unbiased
-    /// cross-platform comparison build one pipeline per platform (as the
-    /// `hardware` experiment of the `paper_eval` bench bin does):
-    ///
-    /// ```
-    /// use epgs::{CompileObjective, FrameworkConfig, Pipeline};
-    /// use epgs_graph::generators;
-    /// use epgs_hardware::HardwareModel;
-    ///
-    /// # fn main() -> Result<(), epgs::FrameworkError> {
-    /// let pipeline = Pipeline::new(FrameworkConfig::builder().g_max(4).build());
-    /// let scheduled = pipeline
-    ///     .partition(&generators::lattice(3, 3))
-    ///     .plan_leaves()?
-    ///     .schedule(3);
-    /// let for_rydberg = CompileObjective::Duration(HardwareModel::rydberg());
-    /// let recombined = scheduled.recombine_objective(&for_rydberg)?;
-    /// assert_eq!(recombined.objective(), &for_rydberg);
-    /// # Ok(())
-    /// # }
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// See [`Scheduled::recombine_with`].
-    pub fn recombine_objective(
-        &self,
-        objective: &CompileObjective,
-    ) -> Result<Recombined, FrameworkError> {
-        Recombined::build(self, &self.shared.config.recombine, objective)
+        Recombined::build(self, strategies)
     }
 }
 
@@ -142,15 +105,18 @@ mod tests {
     use crate::config::FrameworkConfig;
     use crate::stages::Pipeline;
     use epgs_graph::generators;
+    use epgs_partition::PartitionSpec;
 
     #[test]
     fn budgets_scale_the_makespan_monotonically() {
-        let p = Pipeline::new(
-            FrameworkConfig::builder()
-                .g_max(4)
-                .orderings_per_subgraph(4)
-                .build(),
-        );
+        let p = Pipeline::new(FrameworkConfig {
+            partition: PartitionSpec {
+                g_max: 4,
+                ..Default::default()
+            },
+            orderings_per_subgraph: 4,
+            ..Default::default()
+        });
         let planned = p
             .partition(&generators::lattice(3, 4))
             .plan_leaves()
@@ -162,7 +128,13 @@ mod tests {
 
     #[test]
     fn global_ordering_is_a_permutation_of_vertices() {
-        let p = Pipeline::new(FrameworkConfig::builder().g_max(4).build());
+        let p = Pipeline::new(FrameworkConfig {
+            partition: PartitionSpec {
+                g_max: 4,
+                ..Default::default()
+            },
+            ..Default::default()
+        });
         let planned = p.partition(&generators::tree(11, 2)).plan_leaves().unwrap();
         let mut ord = planned.schedule(2).global_ordering();
         ord.sort_unstable();
@@ -171,7 +143,13 @@ mod tests {
 
     #[test]
     fn zero_budget_is_clamped_to_one() {
-        let p = Pipeline::new(FrameworkConfig::builder().g_max(4).build());
+        let p = Pipeline::new(FrameworkConfig {
+            partition: PartitionSpec {
+                g_max: 4,
+                ..Default::default()
+            },
+            ..Default::default()
+        });
         let planned = p.partition(&generators::path(6)).plan_leaves().unwrap();
         assert_eq!(planned.schedule(0).ne_limit(), 1);
     }

@@ -622,11 +622,6 @@ impl ArtifactStore {
         &self.dir
     }
 
-    /// The configured byte budget.
-    pub fn byte_budget(&self) -> u64 {
-        self.budget
-    }
-
     /// Number of artifacts currently indexed.
     pub fn len(&self) -> usize {
         lock_recover(&self.index).files.len()
@@ -936,20 +931,12 @@ impl Drop for ArtifactStore {
 mod tests {
     use super::*;
     use crate::batch::config_fingerprint;
-    use crate::config::FrameworkConfig;
+    use crate::config::quick_config;
     use epgs_graph::canon::{canonical_hash, relabel};
     use epgs_graph::generators;
 
     fn quick_pipeline() -> Pipeline {
-        Pipeline::new(
-            FrameworkConfig::builder()
-                .g_max(5)
-                .lc_budget(3)
-                .partition_effort(4)
-                .orderings_per_subgraph(4)
-                .flexible_slack(1)
-                .build(),
-        )
+        Pipeline::new(quick_config())
     }
 
     fn key_for(pipeline: &Pipeline, g: &Graph) -> CacheKey {

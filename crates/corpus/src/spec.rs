@@ -4,7 +4,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use epgs_graph::{generators, Graph};
+use epgs_graph::{generators, Graph, MAX_VERTICES};
 use epgs_hardware::HardwareModel;
 
 use crate::json::{JsonError, Value};
@@ -93,14 +93,26 @@ impl FamilyKind {
         )
     }
 
-    /// The largest size-grid entry the family can represent, if bounded
-    /// below `usize::MAX` (a hypercube of dimension `d` has `2^d` vertices,
-    /// so `d` must stay below `usize::BITS`). [`CorpusSpec::from_json`]
-    /// enforces this bound with a structured [`SpecError::SizeTooLarge`].
-    pub fn size_limit(&self) -> Option<usize> {
-        match self {
-            FamilyKind::Hypercube => Some(usize::BITS as usize - 1),
-            _ => None,
+    /// The vertex count of the family's instance at grid entry `size`, or
+    /// `None` when it overflows `usize`. [`CorpusSpec::from_json`] rejects
+    /// any grid entry above [`MAX_VERTICES`] with a structured
+    /// [`SpecError::SizeTooLarge`].
+    fn vertex_count(&self, size: usize) -> Option<usize> {
+        match *self {
+            FamilyKind::Hypercube => 1usize.checked_shl(u32::try_from(size).ok()?),
+            // (rows + 1) × (2·cols + 1) grid vertices plus one flag per
+            // lattice edge: (rows + 1) × 2·cols horizontal edges and
+            // rows × cols + ⌈rows / 2⌉ vertical ones (see
+            // `generators::heavy_hex`).
+            FamilyKind::HeavyHex { rows } => {
+                let per_row = size.checked_mul(4)?.checked_add(1)?;
+                rows.checked_add(1)?
+                    .checked_mul(per_row)?
+                    .checked_add(rows.checked_mul(size)?)?
+                    .checked_add(rows.div_ceil(2))
+            }
+            FamilyKind::Lattice { rows } => rows.checked_mul(size),
+            _ => Some(size),
         }
     }
 
@@ -142,9 +154,10 @@ impl FamilyKind {
     /// # Panics
     ///
     /// Propagates the generators' parameter assertions (e.g. a
-    /// Watts–Strogatz grid whose `neighbors ≥ size`, or a size beyond
-    /// [`FamilyKind::size_limit`]); see [`epgs_graph::generators`]. A spec
-    /// parsed by [`CorpusSpec::from_json`] has been checked against both.
+    /// Watts–Strogatz grid whose `neighbors ≥ size`, or a hypercube
+    /// dimension whose `2^d` vertices overflow `usize`); see
+    /// [`epgs_graph::generators`]. A spec parsed by
+    /// [`CorpusSpec::from_json`] has been checked against both.
     pub fn build(&self, size: usize, seed: u64) -> Graph {
         let mut rng = StdRng::seed_from_u64(seed);
         match *self {
@@ -374,8 +387,8 @@ pub enum SpecError {
     /// A seed exceeds 2^53 ([`crate::json::MAX_SAFE_INT`]) and would not
     /// survive the `f64`-backed JSON layer faithfully.
     SeedTooLarge,
-    /// A size-grid entry exceeds the family's representable range (e.g. a
-    /// hypercube dimension whose `2^d` vertices overflow `usize`).
+    /// A size-grid entry's instance would have more than [`MAX_VERTICES`]
+    /// vertices.
     SizeTooLarge {
         /// The family whose grid is out of range.
         family: &'static str,
@@ -412,9 +425,10 @@ impl std::fmt::Display for SpecError {
                     "seeds above 2^53 are not faithfully representable in JSON"
                 )
             }
-            SpecError::SizeTooLarge { family, size } => {
-                write!(f, "family '{family}': size {size} is out of range")
-            }
+            SpecError::SizeTooLarge { family, size } => write!(
+                f,
+                "family '{family}': size {size} has more than {MAX_VERTICES} vertices"
+            ),
             SpecError::Unbuildable {
                 family,
                 size,
@@ -587,8 +601,8 @@ impl CorpusSpec {
     /// [`SpecError::UnknownFamily`] / [`SpecError::UnknownHardware`] on
     /// schema violations, [`SpecError::SeedTooLarge`] for seeds above
     /// 2^53 (whose `f64` JSON representation is already imprecise),
-    /// [`SpecError::SizeTooLarge`] for a size grid beyond the family's
-    /// representable range ([`FamilyKind::size_limit`]), and
+    /// [`SpecError::SizeTooLarge`] for a grid entry whose instance would
+    /// exceed [`MAX_VERTICES`] vertices, and
     /// [`SpecError::Unbuildable`] for parameters the generator cannot build
     /// at some size. An accepted spec's [`CorpusSpec::instances`] never
     /// panics.
@@ -625,7 +639,7 @@ impl CorpusSpec {
                 .collect::<Result<Vec<_>, _>>()?;
             let family = kind.name();
             for &size in &sizes {
-                if kind.size_limit().is_some_and(|limit| size > limit) {
+                if kind.vertex_count(size).is_none_or(|n| n > MAX_VERTICES) {
                     return Err(SpecError::SizeTooLarge { family, size });
                 }
                 if let Some(reason) = kind.precondition_error(size) {
@@ -785,14 +799,28 @@ mod tests {
                 size: beyond,
             })
         );
-        // The limit itself is accepted by the parser (building it is the
-        // caller's memory problem, not a representability one).
+        // The vertex count is exact up to the cap and `None` on overflow.
+        assert_eq!(FamilyKind::Hypercube.vertex_count(16), Some(MAX_VERTICES));
         assert_eq!(
-            FamilyKind::Hypercube.size_limit(),
-            Some(usize::BITS as usize - 1)
+            FamilyKind::Hypercube.vertex_count(usize::BITS as usize),
+            None
         );
-        // Unbounded families are unaffected.
-        assert_eq!(FamilyKind::Tree { arity: 2 }.size_limit(), None);
+        assert_eq!(FamilyKind::Tree { arity: 2 }.vertex_count(9), Some(9));
+    }
+
+    #[test]
+    fn vertex_counts_match_the_built_graphs() {
+        for (kind, size) in [
+            (FamilyKind::Hypercube, 4),
+            (FamilyKind::HeavyHex { rows: 1 }, 1),
+            (FamilyKind::HeavyHex { rows: 2 }, 3),
+            (FamilyKind::HeavyHex { rows: 3 }, 2),
+            (FamilyKind::Lattice { rows: 3 }, 5),
+            (FamilyKind::Tree { arity: 2 }, 10),
+        ] {
+            let built = kind.build(size, 1).vertex_count();
+            assert_eq!(kind.vertex_count(size), Some(built), "{kind:?} at {size}");
+        }
     }
 
     /// Parses a one-family spec and returns its error; a spec that parses
@@ -887,6 +915,64 @@ mod tests {
             SpecError::SizeTooLarge {
                 family: "hypercube",
                 size: bits,
+            }
+        );
+    }
+
+    #[test]
+    fn hypercube_dimension_63_is_rejected() {
+        // 2^63 fits in usize but is far above the vertex cap.
+        let err = parse_error(r#""family": "hypercube""#, "[3, 63]");
+        assert_eq!(
+            err,
+            SpecError::SizeTooLarge {
+                family: "hypercube",
+                size: 63,
+            }
+        );
+    }
+
+    #[test]
+    fn path_sized_families_above_the_vertex_cap_are_rejected() {
+        // A tree of arity 1 is a path.
+        let err = parse_error(r#""family": "tree", "arity": 1"#, "[3, 1000000000000]");
+        assert_eq!(
+            err,
+            SpecError::SizeTooLarge {
+                family: "tree",
+                size: 1_000_000_000_000,
+            }
+        );
+        // The cap itself is accepted.
+        let at_cap = format!(
+            r#"{{"name": "x", "families": [{{"family": "tree", "arity": 1, "sizes": [{MAX_VERTICES}]}}]}}"#
+        );
+        assert!(CorpusSpec::from_json(&at_cap).is_ok());
+    }
+
+    #[test]
+    fn a_million_by_million_lattice_is_rejected() {
+        let err = parse_error(r#""family": "lattice", "rows": 1000000"#, "[1000000]");
+        assert_eq!(
+            err,
+            SpecError::SizeTooLarge {
+                family: "lattice",
+                size: 1_000_000,
+            }
+        );
+    }
+
+    #[test]
+    fn heavy_hex_grids_whose_product_overflows_are_rejected() {
+        let err = parse_error(
+            r#""family": "heavy_hex", "rows": 4294967296"#,
+            "[4294967296]",
+        );
+        assert_eq!(
+            err,
+            SpecError::SizeTooLarge {
+                family: "heavy_hex",
+                size: 4_294_967_296,
             }
         );
     }

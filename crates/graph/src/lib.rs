@@ -45,3 +45,9 @@ pub mod ops;
 
 pub use error::GraphError;
 pub use graph::Graph;
+
+/// Largest vertex count accepted from untrusted input — the serve wire
+/// protocol and corpus specs. Far above any size the compiler is run at
+/// (the benchmark mixes top out at n = 200), and small enough that one
+/// graph's adjacency lists cost a few MiB, not an allocation failure.
+pub const MAX_VERTICES: usize = 1 << 16;

@@ -24,10 +24,14 @@
 //! Engine-level use (the daemon is the same engine behind a protocol):
 //!
 //! ```
+//! use epgs::{FrameworkConfig, PartitionSpec};
 //! use epgs_serve::{default_config, ServeEngine, ServeOutcome};
 //! use epgs_graph::generators;
 //!
-//! let engine = ServeEngine::new(epgs::FrameworkConfig::builder().g_max(4).build());
+//! let engine = ServeEngine::new(FrameworkConfig {
+//!     partition: PartitionSpec { g_max: 4, ..Default::default() },
+//!     ..Default::default()
+//! });
 //! let g = generators::cycle(6);
 //! assert_eq!(engine.compile(&g).outcome, ServeOutcome::Compiled);
 //! assert_eq!(engine.compile(&g).outcome, ServeOutcome::MemoryHit);

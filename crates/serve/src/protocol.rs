@@ -25,7 +25,8 @@
 //!
 //! A successful response always carries `"ok":true` and repeats the `op`;
 //! failures carry `"ok":false`, an `"error"` string, and a machine-readable
-//! `"error_kind"` (`bad_request` for unparsable requests — answered with
+//! `"error_kind"` (`bad_request` for unparsable requests and for graphs
+//! with more than [`epgs_graph::MAX_VERTICES`] vertices — answered with
 //! `"id":null` when even the id is lost — plus the engine's
 //! `compile_failed` / `deadline_exceeded` / `overloaded` / `panic`). A
 //! request line longer than [`MAX_LINE_BYTES`] is discarded unparsed and
@@ -41,7 +42,7 @@ use std::io::{self, BufRead};
 use epgs::Compiled;
 use epgs_circuit::qasm;
 use epgs_corpus::json::{Value, Writer};
-use epgs_graph::Graph;
+use epgs_graph::{Graph, MAX_VERTICES};
 
 use crate::engine::{ServeEngine, ServeReply, ServeStats};
 
@@ -183,6 +184,11 @@ fn parse_graph(v: &Value) -> Result<Graph, String> {
         .get("n")
         .and_then(Value::as_usize)
         .ok_or("graph needs an unsigned 'n'")?;
+    if n > MAX_VERTICES {
+        return Err(format!(
+            "graph has {n} vertices, above the limit of {MAX_VERTICES}"
+        ));
+    }
     let edges_val = v
         .get("edges")
         .and_then(Value::as_arr)
@@ -479,5 +485,14 @@ mod tests {
         let mut reader = io::BufReader::new(&b"\xff\n"[..]);
         let err = read_line_capped(&mut reader, 8).expect_err("not UTF-8");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn the_vertex_cap_is_inclusive() {
+        let req = |n: usize| format!(r#"{{"id":1,"op":"compile","graph":{{"n":{n},"edges":[]}}}}"#);
+        assert!(parse_request(&req(MAX_VERTICES)).is_ok());
+        let (id, msg) = parse_request(&req(MAX_VERTICES + 1)).expect_err("over the cap");
+        assert_eq!(id.as_u64(), Some(1));
+        assert!(msg.contains("limit"), "{msg}");
     }
 }

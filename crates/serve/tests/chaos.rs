@@ -17,7 +17,7 @@ use std::thread;
 use std::time::Duration;
 
 use epgs::faults::FaultPlan;
-use epgs::{ArtifactStore, BatchCompiler, FrameworkConfig};
+use epgs::{ArtifactStore, BatchCompiler, FrameworkConfig, PartitionSpec};
 use epgs_circuit::qasm::to_qasm;
 use epgs_corpus::CorpusSpec;
 use epgs_graph::generators;
@@ -75,13 +75,17 @@ fn pinned_hashes() -> BTreeMap<String, u64> {
 }
 
 fn quick_config() -> FrameworkConfig {
-    FrameworkConfig::builder()
-        .g_max(5)
-        .lc_budget(3)
-        .partition_effort(4)
-        .orderings_per_subgraph(4)
-        .flexible_slack(1)
-        .build()
+    FrameworkConfig {
+        partition: PartitionSpec {
+            g_max: 5,
+            lc_budget: 3,
+            effort: 4,
+            ..Default::default()
+        },
+        orderings_per_subgraph: 4,
+        flexible_slack: 1,
+        ..Default::default()
+    }
 }
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {

@@ -289,3 +289,30 @@ fn an_over_long_request_line_gets_a_structured_bad_request() {
     assert_eq!(r.get("ok").and_then(Value::as_bool), Some(true), "{r}");
     daemon.shutdown();
 }
+
+#[test]
+fn an_oversized_vertex_count_gets_a_bad_request_and_the_daemon_keeps_serving() {
+    let mut daemon = Daemon::spawn_full(&["--threads", "1"], &[]);
+    // Either size used to abort the daemon allocating adjacency lists.
+    for (id, op, n) in [
+        (2, "compile", 1_000_000_000_000u64),
+        (3, "evict", (1u64 << 53) - 1),
+    ] {
+        daemon.send(&format!(
+            "{{\"id\":{id},\"op\":\"{op}\",\"graph\":{{\"n\":{n},\"edges\":[]}}}}"
+        ));
+        let r = daemon.read_response();
+        assert_eq!(r.get("id").and_then(Value::as_u64), Some(id), "{r}");
+        assert_eq!(r.get("ok").and_then(Value::as_bool), Some(false), "{r}");
+        assert_eq!(
+            r.get("error_kind").and_then(Value::as_str),
+            Some("bad_request"),
+            "{r}"
+        );
+    }
+    daemon.send("{\"id\":4,\"op\":\"status\"}");
+    let r = daemon.read_response();
+    assert_eq!(r.get("id").and_then(Value::as_u64), Some(4), "{r}");
+    assert_eq!(r.get("ok").and_then(Value::as_bool), Some(true), "{r}");
+    daemon.shutdown();
+}

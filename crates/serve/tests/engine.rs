@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use epgs::FrameworkConfig;
+use epgs::{FrameworkConfig, PartitionSpec};
 use epgs_circuit::qasm;
 use epgs_graph::{generators, Graph};
 use epgs_serve::{default_config, ServeEngine, ServeOutcome};
@@ -13,13 +13,17 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn quick_config() -> FrameworkConfig {
-    FrameworkConfig::builder()
-        .g_max(5)
-        .lc_budget(3)
-        .partition_effort(4)
-        .orderings_per_subgraph(4)
-        .flexible_slack(1)
-        .build()
+    FrameworkConfig {
+        partition: PartitionSpec {
+            g_max: 5,
+            lc_budget: 3,
+            effort: 4,
+            ..Default::default()
+        },
+        orderings_per_subgraph: 4,
+        flexible_slack: 1,
+        ..Default::default()
+    }
 }
 
 /// One small instance per generator family of the default corpus.

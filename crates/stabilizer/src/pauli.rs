@@ -41,11 +41,6 @@ impl Pauli {
         }
     }
 
-    /// True for the identity letter.
-    pub fn is_identity(self) -> bool {
-        self == Pauli::I
-    }
-
     /// Whether this letter anticommutes with `other`.
     pub fn anticommutes_with(self, other: Pauli) -> bool {
         let (x1, z1) = self.bits();

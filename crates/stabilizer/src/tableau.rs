@@ -255,12 +255,6 @@ impl Tableau {
             .collect()
     }
 
-    /// True if row `row` is the identity Pauli (possibly with phase).
-    pub fn row_is_identity(&self, row: usize) -> bool {
-        let (rw, rm) = (row / 64, 1u64 << (row % 64));
-        (0..self.n).all(|q| (self.xs[q].words()[rw] | self.zs[q].words()[rw]) & rm == 0)
-    }
-
     // ---- Clifford gates (conjugation of every generator) -----------------
 
     /// Hadamard on qubit `q` (`X ↔ Z`).
@@ -488,21 +482,6 @@ impl Tableau {
         }
         self.phase_lo.swap_bits(a, b);
         self.phase_hi.swap_bits(a, b);
-    }
-
-    /// True if rows `a` and `b` commute as Pauli operators.
-    pub fn rows_commute(&self, a: usize, b: usize) -> bool {
-        let (aw, am) = (a / 64, 1u64 << (a % 64));
-        let (bw, bm) = (b / 64, 1u64 << (b % 64));
-        let mut acc = false;
-        for q in 0..self.n {
-            let xa = self.xs[q].words()[aw] & am != 0;
-            let za = self.zs[q].words()[aw] & am != 0;
-            let xb = self.xs[q].words()[bw] & bm != 0;
-            let zb = self.zs[q].words()[bw] & bm != 0;
-            acc ^= (xa & zb) ^ (za & xb);
-        }
-        !acc
     }
 
     /// Mask of rows that *anticommute* with row `a`, computed word-parallel:
@@ -786,16 +765,6 @@ impl Tableau {
     /// of the vanilla Li-et-al. protocol (and of GraphiQ's deterministic
     /// solver), which works in an echelon gauge and takes whichever emission
     /// generator appears. Kept for faithful baseline comparisons.
-    pub fn find_element_any(
-        &self,
-        restrict: &[usize],
-        target: usize,
-        allowed: &[usize],
-    ) -> Option<Vec<usize>> {
-        self.find_element_any_in(restrict, target, allowed, &mut ElementScratch::new())
-    }
-
-    /// Allocation-reusing [`Tableau::find_element_any`].
     pub fn find_element_any_in(
         &self,
         restrict: &[usize],

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example corpus_batch`
 
-use epgs::{BatchCompiler, BatchInstance, CacheOutcome, FrameworkConfig};
+use epgs::{BatchCompiler, BatchInstance, CacheOutcome, FrameworkConfig, PartitionSpec};
 use epgs_corpus::{CorpusSpec, FamilyKind, FamilySpec};
 
 fn main() {
@@ -37,15 +37,17 @@ fn main() {
         .map(|i| BatchInstance::new(i.id, i.family, i.graph))
         .collect();
 
-    let batch = BatchCompiler::new(
-        FrameworkConfig::builder()
-            .g_max(6)
-            .lc_budget(4)
-            .partition_effort(5)
-            .orderings_per_subgraph(6)
-            .flexible_slack(1)
-            .build(),
-    );
+    let batch = BatchCompiler::new(FrameworkConfig {
+        partition: PartitionSpec {
+            g_max: 6,
+            lc_budget: 4,
+            effort: 5,
+            ..Default::default()
+        },
+        orderings_per_subgraph: 6,
+        flexible_slack: 1,
+        ..Default::default()
+    });
 
     for pass in 1..=2 {
         let report = batch.run(&jobs);

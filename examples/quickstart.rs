@@ -15,7 +15,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use epgs::{EmitterBudget, FrameworkConfig, Pipeline};
+use epgs::{EmitterBudget, FrameworkConfig, PartitionSpec, Pipeline};
 use epgs_graph::Graph;
 use epgs_hardware::HardwareModel;
 use epgs_solver::{solve_baseline, BaselineOptions};
@@ -50,13 +50,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // the same circuit and keeps each intermediate artifact — every stage
     // method takes `&self`, so one expensive prefix can fan out into many
     // cheap suffixes.
-    let pipeline = Pipeline::new(
-        FrameworkConfig::builder()
-            .g_max(7)
-            .lc_budget(15)
-            .emitter_budget(EmitterBudget::Factor(1.5))
-            .build(),
-    );
+    let pipeline = Pipeline::new(FrameworkConfig {
+        partition: PartitionSpec {
+            g_max: 7,
+            lc_budget: 15,
+            ..Default::default()
+        },
+        emitter_budget: EmitterBudget::Factor(1.5),
+        ..Default::default()
+    });
 
     // Stage 1 — partition (§IV.A): split the target into blocks of at most
     // g_max vertices, using up to lc_budget local complementations to
@@ -107,10 +109,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // configured CompileObjective. The default, `Emitters`, is the paper's
     // lexicographic (#ee-CNOT, then T_loss, then duration) order; swap in
     // `CompileObjective::Duration(hw)` or `::Loss(hw)` and platform timing
-    // decides instead (try `scheduled.recombine_objective(..)` for a quick
-    // re-score; for an unbiased cross-platform comparison build one
-    // pipeline per platform, as `paper_eval hardware` does). The artifact
-    // records which strategy and objective won.
+    // decides instead (to compare platforms, build one pipeline per
+    // platform, as `paper_eval hardware` does). The artifact records which
+    // strategy and objective won.
     let recombined = scheduled.recombine()?;
     println!(
         "recombined via {:?} under the {} objective",

@@ -9,22 +9,24 @@
 
 use proptest::prelude::*;
 
-use epgs::{artifact, config_fingerprint, CacheKey, FrameworkConfig, Pipeline};
+use epgs::{artifact, config_fingerprint, CacheKey, FrameworkConfig, PartitionSpec, Pipeline};
 use epgs_graph::canon::canonical_hash;
 use epgs_graph::{generators, Graph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn quick_pipeline() -> Pipeline {
-    Pipeline::new(
-        FrameworkConfig::builder()
-            .g_max(5)
-            .lc_budget(3)
-            .partition_effort(4)
-            .orderings_per_subgraph(4)
-            .flexible_slack(1)
-            .build(),
-    )
+    Pipeline::new(FrameworkConfig {
+        partition: PartitionSpec {
+            g_max: 5,
+            lc_budget: 3,
+            effort: 4,
+            ..Default::default()
+        },
+        orderings_per_subgraph: 4,
+        flexible_slack: 1,
+        ..Default::default()
+    })
 }
 
 /// One random small instance of the chosen corpus family.

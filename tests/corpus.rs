@@ -1,7 +1,10 @@
 //! Batch-engine integration tests: the full default corpus compiles and
 //! verifies end to end, and the artifact cache behaves across passes.
 
-use epgs::{BatchCompiler, BatchInstance, CacheOutcome, FrameworkConfig};
+use std::sync::Arc;
+
+use epgs::faults::FaultPlan;
+use epgs::{BatchCompiler, BatchInstance, CacheOutcome, FrameworkConfig, PartitionSpec};
 use epgs_corpus::CorpusSpec;
 use epgs_graph::canon::canonical_hash;
 
@@ -14,13 +17,17 @@ fn corpus_jobs() -> Vec<BatchInstance> {
 }
 
 fn quick_config() -> FrameworkConfig {
-    FrameworkConfig::builder()
-        .g_max(5)
-        .lc_budget(3)
-        .partition_effort(4)
-        .orderings_per_subgraph(4)
-        .flexible_slack(1)
-        .build()
+    FrameworkConfig {
+        partition: PartitionSpec {
+            g_max: 5,
+            lc_budget: 3,
+            effort: 4,
+            ..Default::default()
+        },
+        orderings_per_subgraph: 4,
+        flexible_slack: 1,
+        ..Default::default()
+    }
 }
 
 #[test]
@@ -110,21 +117,20 @@ fn batch_report_json_is_loadable() {
 
 #[test]
 fn mixed_valid_and_failing_instances_do_not_abort_the_batch() {
-    // A strategy-less config fails recombination; the batch must record the
-    // failure and keep compiling the rest.
-    let bad = FrameworkConfig {
-        recombine: vec![],
-        ..quick_config()
-    };
-    let batch = BatchCompiler::new(bad);
+    // An armed `batch.compile` fault fails every compile; the batch must
+    // record each failure and keep compiling the rest.
+    let mut batch = BatchCompiler::new(quick_config());
+    batch.set_fault_plan(Arc::new(
+        FaultPlan::parse("batch.compile:fail").expect("plan parses"),
+    ));
     let jobs: Vec<BatchInstance> = corpus_jobs().into_iter().take(3).collect();
     let report = batch.run(&jobs);
     assert_eq!(report.succeeded, 0);
     assert_eq!(report.failed, 3);
-    assert!(report
-        .instances
-        .iter()
-        .all(|r| r.error.as_deref().is_some_and(|e| e.contains("strategy"))));
+    assert!(report.instances.iter().all(|r| r
+        .error
+        .as_deref()
+        .is_some_and(|e| e.contains("injected fault"))));
     // And the same instances under a sane config still pass.
     let good = BatchCompiler::new(quick_config());
     assert_eq!(good.run(&jobs).succeeded, 3);

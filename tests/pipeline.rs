@@ -6,19 +6,22 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use epgs::{Compiled, FrameworkConfig, Pipeline, RecombineStrategy};
+use epgs::{Compiled, FrameworkConfig, PartitionSpec, Pipeline, RecombineStrategy};
 use epgs_circuit::simulate::verify_circuit;
 use epgs_graph::{generators, Graph};
 
 fn quick_config() -> FrameworkConfig {
-    FrameworkConfig::builder()
-        .g_max(7)
-        .lc_budget(4)
-        .partition_effort(5)
-        .orderings_per_subgraph(5)
-        .flexible_slack(1)
-        .seed(3)
-        .build()
+    FrameworkConfig {
+        partition: PartitionSpec {
+            g_max: 7,
+            lc_budget: 4,
+            effort: 5,
+            ..Default::default()
+        },
+        orderings_per_subgraph: 5,
+        flexible_slack: 1,
+        ..Default::default()
+    }
 }
 
 fn equivalence_targets() -> Vec<(String, Graph)> {
@@ -113,26 +116,6 @@ fn budget_sweep_runs_partition_and_leaf_compile_exactly_once() {
 }
 
 #[test]
-fn pipeline_sweep_helper_shares_the_prefix_too() {
-    let pipeline = Pipeline::new(quick_config());
-    let g = generators::tree(15, 2);
-    let swept = pipeline.sweep(&g, &[1, 3]).unwrap();
-    assert_eq!(swept.len(), 2);
-    let counts = pipeline.counters();
-    assert_eq!((counts.partition, counts.plan), (1, 1));
-    for (compiled, budget) in swept.iter().zip([1, 3]) {
-        assert!(verify_circuit(&compiled.circuit, &g).unwrap());
-        assert_same_compiled(
-            &format!("sweep budget {budget}"),
-            compiled,
-            &compile_at(&g, budget),
-        );
-    }
-    // More emitters never slow the packed schedule.
-    assert!(swept[1].schedule.makespan <= swept[0].schedule.makespan + 1e-9);
-}
-
-#[test]
 fn rescheduling_a_cached_planned_artifact_is_reproducible() {
     let pipeline = Pipeline::new(quick_config());
     let mut rng = StdRng::seed_from_u64(23);
@@ -169,15 +152,23 @@ fn two_pipelines_same_seed_agree_end_to_end() {
 
 #[test]
 fn direct_solve_only_pipeline_skips_partition_benefits_but_still_verifies() {
-    let config = FrameworkConfig::builder()
-        .recombine(vec![RecombineStrategy::DirectSolve])
-        .g_max(7)
-        .lc_budget(0)
-        .partition_effort(4)
-        .orderings_per_subgraph(4)
-        .build();
+    let config = FrameworkConfig {
+        partition: PartitionSpec {
+            g_max: 7,
+            lc_budget: 0,
+            effort: 4,
+            ..Default::default()
+        },
+        orderings_per_subgraph: 4,
+        ..Default::default()
+    };
     let g = generators::tree(12, 2);
-    let compiled = Pipeline::new(config).compile(&g).unwrap();
+    let planned = Pipeline::new(config).partition(&g).plan_leaves().unwrap();
+    let compiled = planned
+        .schedule(planned.configured_budget())
+        .recombine_with(&[RecombineStrategy::DirectSolve])
+        .and_then(|r| r.verify())
+        .unwrap();
     assert_eq!(compiled.strategy, RecombineStrategy::DirectSolve);
     assert!(verify_circuit(&compiled.circuit, &g).unwrap());
 }
