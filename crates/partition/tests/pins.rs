@@ -3,7 +3,8 @@
 //! The FM kernel and the LC beam are performance-tuned in place; every
 //! optimization must return exactly the assignment the straightforward
 //! search did. These tests pin `(FNV of block_of, cut)` for the flat FM
-//! search on seeded graphs (dense LC-transformed ones included) and
+//! search on seeded graphs (dense LC-transformed ones included), the same
+//! pair for the multilevel V-cycle above its coarsening cutoff, and
 //! `(lc_sequence, cut, FNV of block_of)` for the LC beam under the
 //! evaluation harness's partition spec on three paper-sweep targets.
 
@@ -16,7 +17,8 @@ use rand::SeedableRng;
 use epgs_graph::{generators, ops, Graph};
 use epgs_partition::fm::fm_partition;
 use epgs_partition::{
-    partition_with_lc, partition_with_lc_controlled, PartitionSpec, SearchControl,
+    multilevel_partition, partition_with_lc, partition_with_lc_controlled, MultilevelOptions,
+    PartitionSpec, SearchControl,
 };
 
 /// Seed of the evaluation harness (`epgs_bench::SEED`).
@@ -131,6 +133,107 @@ fn fm_partition_is_pinned() {
     ];
     for (label, g, [blocks, g_max, restarts], seed, pinned) in cases {
         let (assign, cut) = fm_partition(&g, blocks, g_max, restarts, seed);
+        assert_eq!((fnv(&assign), cut), pinned, "{label}");
+    }
+}
+
+/// The LC beam's scoring arguments under the bench spec: `⌈n/7⌉` blocks of
+/// at most 7, `effort.max(2)` restarts.
+const BEAM_ARGS: [usize; 2] = [7, 8];
+
+/// One pinned V-cycle case: label, graph, `[g_max, restarts]` (blocks are
+/// `⌈n/g_max⌉`), seed, and the pinned `(FNV of block_of, cut)`.
+type MultilevelCase = (&'static str, Graph, [usize; 2], u64, (u64, usize));
+
+#[test]
+fn multilevel_partition_is_pinned() {
+    let rng = |n: usize| StdRng::seed_from_u64(SEED ^ n as u64);
+    let mut large = StdRng::seed_from_u64(0x1517);
+    let cases: Vec<MultilevelCase> = vec![
+        // The scale_mix targets, built as perfbench builds them.
+        (
+            "lattice-10x10",
+            generators::lattice(10, 10),
+            BEAM_ARGS,
+            SEED,
+            (0xcee7ff321cc9c2ab, 75),
+        ),
+        (
+            "heavy_hex-3x4",
+            generators::heavy_hex(3, 4),
+            BEAM_ARGS,
+            SEED,
+            (0x3530275e2ca160a4, 30),
+        ),
+        (
+            "tree-127",
+            generators::tree(127, 2),
+            BEAM_ARGS,
+            SEED,
+            (0x88069567dfa45364, 35),
+        ),
+        (
+            "rr3-100",
+            generators::random_regular(100, 3, &mut rng(100)),
+            BEAM_ARGS,
+            SEED,
+            (0x1ac1639149144782, 65),
+        ),
+        (
+            "rr3-200",
+            generators::random_regular(200, 3, &mut rng(200)),
+            BEAM_ARGS,
+            SEED,
+            (0xd80dc02111364f5e, 135),
+        ),
+        (
+            "waxman-100",
+            generators::waxman(100, 0.5, 0.2, &mut rng(100)),
+            BEAM_ARGS,
+            SEED,
+            (0xd008e0e2f13a2563, 435),
+        ),
+        // Dense LC-transformed variants, as the beam scores them.
+        (
+            "lattice-10x10+lc",
+            lc(
+                generators::lattice(10, 10),
+                &[11, 12, 22, 21, 33, 34, 44, 43, 55, 56, 66],
+            ),
+            BEAM_ARGS,
+            SEED ^ 1,
+            (0x7fcee6eae4e27466, 112),
+        ),
+        (
+            "waxman-100+lc",
+            lc(waxman(100), &[0, 3, 7, 12, 40, 41]),
+            BEAM_ARGS,
+            SEED ^ 2,
+            (0xdb7d008e329923a1, 652),
+        ),
+        // At or above 512 vertices the move pass proposes in parallel; the
+        // property suite's determinism tests use the same two graphs.
+        (
+            "path-600",
+            generators::path(600),
+            [7, 3],
+            42,
+            (0x7c3111b671b22ecf, 85),
+        ),
+        (
+            "ws-520",
+            generators::watts_strogatz(520, 4, 0.1, &mut large),
+            [7, 3],
+            42,
+            (0xec71e490d4a7c9ef, 445),
+        ),
+    ];
+    let opts = MultilevelOptions::default();
+    for (label, g, [g_max, restarts], seed, pinned) in cases {
+        let n = g.vertex_count();
+        assert!(n > opts.coarsen_cutoff, "{label} must take the V-cycle");
+        let (assign, cut) =
+            multilevel_partition(&g, n.div_ceil(g_max), g_max, restarts, seed, &opts);
         assert_eq!((fnv(&assign), cut), pinned, "{label}");
     }
 }
