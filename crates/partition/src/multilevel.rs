@@ -19,12 +19,16 @@
 //!    weighted placement polished by a short Metropolis walk
 //!    (`metropolis_polish`) seeds the refinement.
 //! 3. **Uncoarsen** — the assignment is projected level by level
-//!    (`fine[v] = coarse[map[v]]`) and refined at every level: a rebalance
-//!    drain restores the capacity bound, then boundary move passes compute
-//!    per-vertex best moves **in parallel** against a frozen assignment and
-//!    apply them **sequentially in vertex-index order** (recomputing each
-//!    gain at apply time), so the result is bit-identical regardless of
-//!    thread count — the same determinism contract as `compile_subgraph`.
+//!    (`fine[v] = coarse[map[v]]`) and refined at every level against one
+//!    block-connectivity table (weight from each vertex to each block),
+//!    built once per level and updated in O(degree) by every accepted
+//!    move, so each gain is one lookup: a rebalance drain restores the
+//!    capacity bound, then boundary move passes propose per-vertex best
+//!    moves from the table as it stands (**in parallel** on large levels)
+//!    and apply them **sequentially in vertex-index order** (re-checking
+//!    each gain at apply time), so the result is bit-identical regardless
+//!    of thread count — the same determinism contract as
+//!    `compile_subgraph`. Swap passes break move stalls.
 //!
 //! Capacity is *soft* at coarse levels: `num_blocks = ⌈n / g_max⌉` leaves
 //! near-zero slack, and bin-packing weighted coarse vertices into that
@@ -139,47 +143,77 @@ impl WeightedGraph {
         }
         cut
     }
+}
 
-    /// Weighted connectivity of `v` to the single block `b` under `assign`.
-    fn conn_to(&self, v: usize, assign: &[usize], b: usize) -> u64 {
-        self.edges_of(v)
-            .filter(|&(w, _)| assign[w] == b)
-            .map(|(_, ew)| ew)
-            .sum()
+/// Weight from every vertex to every block under the live assignment, as a
+/// dense `vertices × blocks` table kept exact by [`BlockConn::relocate`]
+/// (O(degree) per move), so every gain the refinement passes read is one
+/// lookup. One buffer, sized for the finest level, serves every level of a
+/// call: [`BlockConn::fill`] and [`BlockConn::clear`] each walk the
+/// adjacency once, so no level pays O(vertices × blocks) to zero it. Entries
+/// are `u32`: one entry is at most the finest graph's edge count.
+struct BlockConn {
+    blocks: usize,
+    table: Vec<u32>,
+}
+
+impl BlockConn {
+    /// An all-zero table for levels of at most `vertices` vertices.
+    fn new(vertices: usize, blocks: usize) -> Self {
+        BlockConn {
+            blocks,
+            table: vec![0; vertices * blocks],
+        }
     }
-}
 
-/// Sparse per-vertex block connectivity: only the blocks adjacent to the
-/// vertex are materialized, so a gather is O(degree) instead of the
-/// O(num_blocks) a dense zero-and-fill would cost (at n = 1000 the dense
-/// variant's zeroing dominated the whole refinement).
-#[derive(Default)]
-struct ConnScratch {
-    blocks: Vec<usize>,
-    wts: Vec<u64>,
-}
+    #[inline]
+    fn slot(&self, v: usize, b: usize) -> usize {
+        v * self.blocks + b
+    }
 
-impl ConnScratch {
-    fn gather(&mut self, wg: &WeightedGraph, v: usize, assign: &[usize]) {
-        self.blocks.clear();
-        self.wts.clear();
-        for (w, ew) in wg.edges_of(v) {
-            let b = assign[w];
-            match self.blocks.iter().position(|&x| x == b) {
-                Some(i) => self.wts[i] += ew,
-                None => {
-                    self.blocks.push(b);
-                    self.wts.push(ew);
-                }
+    /// Weighted connectivity of `v` to block `b`.
+    #[inline]
+    fn get(&self, v: usize, b: usize) -> u64 {
+        u64::from(self.table[self.slot(v, b)])
+    }
+
+    /// Loads `assign`'s connectivity into the (all-zero) table.
+    fn fill(&mut self, wg: &WeightedGraph, assign: &[usize]) {
+        for v in 0..wg.vertex_count() {
+            for (w, ew) in wg.edges_of(v) {
+                let s = self.slot(v, assign[w]);
+                self.table[s] += ew as u32;
             }
         }
     }
 
-    fn get(&self, b: usize) -> u64 {
-        self.blocks
-            .iter()
-            .position(|&x| x == b)
-            .map_or(0, |i| self.wts[i])
+    /// Zeroes exactly the entries `assign` populates, leaving the table
+    /// all-zero for the next level.
+    fn clear(&mut self, wg: &WeightedGraph, assign: &[usize]) {
+        for v in 0..wg.vertex_count() {
+            for (w, _) in wg.edges_of(v) {
+                let s = self.slot(v, assign[w]);
+                self.table[s] = 0;
+            }
+        }
+    }
+
+    /// Records `v` moving from block `from` to block `to`: only the rows of
+    /// `v`'s neighbors change.
+    #[inline]
+    fn relocate(&mut self, wg: &WeightedGraph, v: usize, from: usize, to: usize) {
+        for (w, ew) in wg.edges_of(v) {
+            let (sf, st) = (self.slot(w, from), self.slot(w, to));
+            self.table[sf] -= ew as u32;
+            self.table[st] += ew as u32;
+        }
+    }
+
+    /// Whether the table equals one rebuilt from `assign`.
+    fn matches(&self, wg: &WeightedGraph, assign: &[usize]) -> bool {
+        let mut fresh = BlockConn::new(wg.vertex_count(), self.blocks);
+        fresh.fill(wg, assign);
+        fresh.table[..] == self.table[..fresh.table.len()]
     }
 }
 
@@ -263,42 +297,50 @@ pub fn coarsen(
         nc += 1;
     }
 
-    // Fold vertices and aggregate parallel edges.
+    // Fold each matched pair into its smaller endpoint (coarse ids ascend
+    // with it). Coarse vertices are visited in id order, and each appends
+    // its id to the adjacency bucket of every coarse neighbor, so every
+    // bucket comes out ascending with parallel edges adjacent: they are
+    // summed on arrival, without a sort. A bucket's capacity is its
+    // members' fine degree.
     let mut vwts = vec![0u64; nc];
+    let mut start = vec![0usize; nc + 1];
     for v in 0..n {
         vwts[map[v]] += wg.vwts[v];
+        start[map[v] + 1] += wg.offsets[v + 1] - wg.offsets[v];
     }
-    let mut members: Vec<Vec<usize>> = vec![Vec::with_capacity(2); nc];
-    for v in 0..n {
-        members[map[v]].push(v);
+    for c in 0..nc {
+        start[c + 1] += start[c];
     }
-    let mut offsets = Vec::with_capacity(nc + 1);
-    let mut nbrs = Vec::new();
-    let mut ewts = Vec::new();
-    let mut buf: Vec<(usize, u64)> = Vec::new();
-    offsets.push(0);
-    for (c, folded) in members.iter().enumerate() {
-        buf.clear();
-        for &v in folded {
-            for (w, ew) in wg.edges_of(v) {
-                let cw = map[w];
-                if cw != c {
-                    buf.push((cw, ew));
+    let mut end = start.clone();
+    let mut bucket_nbrs = vec![0usize; start[nc]];
+    let mut bucket_ewts = vec![0u64; start[nc]];
+    let reps = (0..n).filter(|&v| mate[v] == usize::MAX || v < mate[v]);
+    for (cw, v) in reps.enumerate() {
+        let members = std::iter::once(v).chain((mate[v] != usize::MAX).then_some(mate[v]));
+        for u in members {
+            for (w, ew) in wg.edges_of(u) {
+                let c = map[w];
+                if c == cw {
+                    continue;
+                }
+                if end[c] > start[c] && bucket_nbrs[end[c] - 1] == cw {
+                    bucket_ewts[end[c] - 1] += ew;
+                } else {
+                    bucket_nbrs[end[c]] = cw;
+                    bucket_ewts[end[c]] = ew;
+                    end[c] += 1;
                 }
             }
         }
-        buf.sort_unstable();
-        let mut i = 0;
-        while i < buf.len() {
-            let (cw, mut ew) = buf[i];
-            i += 1;
-            while i < buf.len() && buf[i].0 == cw {
-                ew += buf[i].1;
-                i += 1;
-            }
-            nbrs.push(cw);
-            ewts.push(ew);
-        }
+    }
+    let mut offsets = Vec::with_capacity(nc + 1);
+    let mut nbrs = Vec::with_capacity(start[nc]);
+    let mut ewts = Vec::with_capacity(start[nc]);
+    offsets.push(0);
+    for c in 0..nc {
+        nbrs.extend_from_slice(&bucket_nbrs[start[c]..end[c]]);
+        ewts.extend_from_slice(&bucket_ewts[start[c]..end[c]]);
         offsets.push(nbrs.len());
     }
     Some((
@@ -474,18 +516,20 @@ fn bfs_seed_weighted(wg: &WeightedGraph, num_blocks: usize, _g_max: u64) -> Vec<
 /// one overflow unit at a finer level — rather than a hard infeasibility
 /// wall: an overwhelming penalty makes the walk shred a good (contiguous)
 /// seed just to shave coarse-level overflow that the finest-level drain
-/// could have fixed almost for free.
+/// could have fixed almost for free. `conn` is all-zero on entry and on
+/// return.
 fn metropolis_polish(
     wg: &WeightedGraph,
     assign: &mut [usize],
-    num_blocks: usize,
     g_max: u64,
     seed: u64,
+    conn: &mut BlockConn,
 ) {
-    let n = wg.vertex_count();
+    let (n, num_blocks) = (wg.vertex_count(), conn.blocks);
     if n == 0 || num_blocks < 2 {
         return;
     }
+    conn.fill(wg, assign);
     let penalty = 2 + 2 * wg.ewts.iter().sum::<u64>() / n as u64;
     let mut loads = vec![0u64; num_blocks];
     for (v, &b) in assign.iter().enumerate() {
@@ -511,7 +555,7 @@ fn metropolis_polish(
         if b == from {
             continue;
         }
-        let d_cut = wg.conn_to(v, assign, from) as i128 - wg.conn_to(v, assign, b) as i128;
+        let d_cut = conn.get(v, from) as i128 - conn.get(v, b) as i128;
         let d_over = (loads[b] + wg.vwts[v]).saturating_sub(g_max) as i128
             - loads[b].saturating_sub(g_max) as i128
             + (loads[from] - wg.vwts[v]).saturating_sub(g_max) as i128
@@ -521,6 +565,7 @@ fn metropolis_polish(
             loads[from] -= wg.vwts[v];
             loads[b] += wg.vwts[v];
             assign[v] = b;
+            conn.relocate(wg, v, from, b);
             cost += d;
             if cost < best_cost {
                 best_cost = cost;
@@ -528,254 +573,240 @@ fn metropolis_polish(
             }
         }
     }
+    conn.clear(wg, assign);
     assign.copy_from_slice(&best);
 }
 
 /// Initial partition of the coarsest level: weighted branch-and-bound at
 /// tiny sizes, BFS seeding + Metropolis polish otherwise.
-fn initial_partition(wg: &WeightedGraph, num_blocks: usize, g_max: u64, seed: u64) -> Vec<usize> {
+fn initial_partition(
+    wg: &WeightedGraph,
+    g_max: u64,
+    seed: u64,
+    conn: &mut BlockConn,
+) -> Vec<usize> {
     if wg.vertex_count() <= EXACT_LIMIT {
-        if let Some(assign) = exact_weighted(wg, num_blocks, g_max) {
+        if let Some(assign) = exact_weighted(wg, conn.blocks, g_max) {
             return assign;
         }
     }
-    let mut assign = bfs_seed_weighted(wg, num_blocks, g_max);
-    metropolis_polish(wg, &mut assign, num_blocks, g_max, seed);
+    let mut assign = bfs_seed_weighted(wg, conn.blocks, g_max);
+    metropolis_polish(wg, &mut assign, g_max, seed, conn);
     assign
 }
 
-/// Moves vertices out of overweight blocks while a feasible move exists:
-/// heaviest overweight block first (ties: lowest id), and from it the move
-/// `(v → b)` with the least weighted-cut damage (ties: vertex then block
-/// index). At the finest level (unit weights) this always reaches full
-/// feasibility; at coarse levels residual overflow may remain and is
-/// tolerated until projection unfolds the weights.
-/// `damage_cap`: at coarse levels only non-damaging drains run (`Some(0)`) —
-/// a finer level repairs residual overflow more cheaply by shifting single
-/// block-boundary vertices; the finest level passes `None` (drain at any
-/// cost) and, having unit weights and `⌈n/g_max⌉·g_max ≥ n` capacity, always
-/// reaches full feasibility.
-fn drain_overflow(
-    wg: &WeightedGraph,
-    assign: &mut [usize],
-    loads: &mut [u64],
+/// One level's live refinement state. [`Refiner::move_vertex`] is the only
+/// writer, so the assignment, the block loads and the connectivity table
+/// stay consistent.
+struct Refiner<'a> {
+    wg: &'a WeightedGraph,
     g_max: u64,
-    conn: &mut ConnScratch,
-    damage_cap: Option<i64>,
-) {
-    // Blocks whose cheapest outbound move exceeded the damage cap (or had
-    // none): skipped so other overweight blocks still get their turn.
-    let mut stuck = vec![false; loads.len()];
-    loop {
-        let Some(src) = (0..loads.len())
-            .filter(|&b| loads[b] > g_max && !stuck[b])
-            .max_by_key(|&b| (loads[b], std::cmp::Reverse(b)))
-        else {
-            return;
-        };
-        // Best feasible outbound move from `src`. Only blocks adjacent to
-        // the vertex can beat the "least-connected vertex into the
-        // lowest-indexed block with room" fallback, so the scan is
-        // O(n · degree), not O(n · num_blocks).
-        let mut best: Option<(i64, usize, usize)> = None; // (damage, v, b)
-        for v in 0..wg.vertex_count() {
-            if assign[v] != src {
-                continue;
-            }
-            conn.gather(wg, v, assign);
-            let c_src = conn.get(src);
-            for (i, &b) in conn.blocks.iter().enumerate() {
-                if b == src || loads[b] + wg.vwts[v] > g_max {
-                    continue;
-                }
-                let damage = c_src as i64 - conn.wts[i] as i64;
+    assign: &'a mut [usize],
+    loads: Vec<u64>,
+    conn: &'a mut BlockConn,
+}
+
+impl Refiner<'_> {
+    fn move_vertex(&mut self, v: usize, to: usize) {
+        let from = self.assign[v];
+        self.loads[from] -= self.wg.vwts[v];
+        self.loads[to] += self.wg.vwts[v];
+        self.assign[v] = to;
+        self.conn.relocate(self.wg, v, from, to);
+    }
+
+    /// Moves vertices out of overweight blocks while a feasible move
+    /// exists: heaviest overweight block first (ties: lowest id), and from
+    /// it the move `(v → b)` with the least weighted-cut damage (ties:
+    /// vertex then block index). At the finest level (unit weights) this
+    /// always reaches full feasibility; at coarse levels residual overflow
+    /// may remain and is tolerated until projection unfolds the weights.
+    /// `damage_cap`: at coarse levels only non-damaging drains run
+    /// (`Some(0)`) — a finer level repairs residual overflow more cheaply by
+    /// shifting single block-boundary vertices; the finest level passes
+    /// `None` (drain at any cost) and, having unit weights and
+    /// `⌈n/g_max⌉·g_max ≥ n` capacity, always reaches full feasibility.
+    fn drain(&mut self, damage_cap: Option<i64>) {
+        let (wg, g_max) = (self.wg, self.g_max);
+        // Blocks whose cheapest outbound move exceeded the damage cap (or
+        // had none): skipped so other overweight blocks still get their turn.
+        let mut stuck = vec![false; self.loads.len()];
+        loop {
+            let loads = &self.loads;
+            let Some(src) = (0..loads.len())
+                .filter(|&b| loads[b] > g_max && !stuck[b])
+                .max_by_key(|&b| (loads[b], std::cmp::Reverse(b)))
+            else {
+                return;
+            };
+            // Best feasible outbound move from `src`. Only blocks adjacent
+            // to the vertex can beat the "least-connected vertex into the
+            // lowest-indexed block with room" fallback, so the scan is
+            // O(n · degree), not O(n · num_blocks).
+            let mut best: Option<(i64, usize, usize)> = None; // (damage, v, b)
+            let mut consider = |damage: i64, v: usize, b: usize| {
                 if best.is_none_or(|(bd, bv, bb)| (damage, v, b) < (bd, bv, bb)) {
                     best = Some((damage, v, b));
                 }
-            }
-            // Non-adjacent fallback block (damage = c_src, no recovered
-            // connectivity): the first block with room for this vertex.
-            if let Some(b) = (0..loads.len()).find(|&b| b != src && loads[b] + wg.vwts[v] <= g_max)
-            {
-                if !conn.blocks.contains(&b) {
-                    let damage = c_src as i64;
-                    if best.is_none_or(|(bd, bv, bb)| (damage, v, b) < (bd, bv, bb)) {
-                        best = Some((damage, v, b));
+            };
+            for v in 0..wg.vertex_count() {
+                if self.assign[v] != src {
+                    continue;
+                }
+                let c_src = self.conn.get(v, src) as i64;
+                let fits = |b: usize| b != src && loads[b] + wg.vwts[v] <= g_max;
+                for (w, _) in wg.edges_of(v) {
+                    let b = self.assign[w];
+                    if fits(b) {
+                        consider(c_src - self.conn.get(v, b) as i64, v, b);
                     }
                 }
+                // Fallback: the first block with room for this vertex, which
+                // recovers no connectivity unless it is also adjacent.
+                if let Some(b) = (0..loads.len()).find(|&b| fits(b)) {
+                    consider(c_src - self.conn.get(v, b) as i64, v, b);
+                }
             }
+            let Some((damage, v, b)) = best else {
+                stuck[src] = true; // no feasible move — residual overflow tolerated
+                continue;
+            };
+            if damage_cap.is_some_and(|cap| damage > cap) {
+                stuck[src] = true; // too expensive here — a finer level repairs it
+                continue;
+            }
+            self.move_vertex(v, b);
         }
-        let Some((damage, v, b)) = best else {
-            stuck[src] = true; // no feasible move — residual overflow tolerated
-            continue;
+    }
+
+    /// One deterministic move pass: per-vertex best moves are proposed (in
+    /// parallel on large levels) from the table as it stands, then applied
+    /// sequentially in vertex-index order with the gain and capacity
+    /// re-checked against the live state. Returns whether any move was
+    /// applied.
+    fn move_pass(&mut self) -> bool {
+        let (wg, assign, conn) = (self.wg, &*self.assign, &*self.conn);
+        // Most-connected other block, ties to the lower index; only blocks
+        // adjacent to `v` can strictly improve the cut.
+        let propose = |v: usize| -> Option<usize> {
+            let from = assign[v];
+            let c_from = conn.get(v, from);
+            let mut best: Option<(u64, usize)> = None;
+            for (w, _) in wg.edges_of(v) {
+                let b = assign[w];
+                let c = conn.get(v, b);
+                if b != from
+                    && c > c_from
+                    && best.is_none_or(|(bc, bb)| c > bc || (c == bc && b < bb))
+                {
+                    best = Some((c, b));
+                }
+            }
+            best.map(|(_, b)| b)
         };
-        if damage_cap.is_some_and(|cap| damage > cap) {
-            stuck[src] = true; // too expensive here — a finer level repairs it
-            continue;
-        }
-        loads[src] -= wg.vwts[v];
-        loads[b] += wg.vwts[v];
-        assign[v] = b;
-    }
-}
+        let proposals: Vec<Option<usize>> = if wg.vertex_count() >= PAR_THRESHOLD {
+            (0..wg.vertex_count())
+                .into_par_iter()
+                .map(propose)
+                .collect()
+        } else {
+            (0..wg.vertex_count()).map(propose).collect()
+        };
 
-/// One deterministic parallel move pass: per-vertex best moves are computed
-/// in parallel against the frozen assignment, then applied sequentially in
-/// vertex-index order with the gain and capacity re-checked against the live
-/// state. Returns whether any move was applied.
-fn parallel_move_pass(
-    wg: &WeightedGraph,
-    assign: &mut [usize],
-    loads: &mut [u64],
-    g_max: u64,
-    conn: &mut ConnScratch,
-) -> bool {
-    let frozen: &[usize] = assign;
-    // Most-connected other block, ties to the lower index; only blocks
-    // adjacent to `v` can strictly improve the cut.
-    let propose = |conn: &mut ConnScratch, v: usize| -> Option<usize> {
-        let from = frozen[v];
-        conn.gather(wg, v, frozen);
-        let c_from = conn.get(from);
-        let mut best: Option<(u64, usize)> = None;
-        for (i, &b) in conn.blocks.iter().enumerate() {
-            let c = conn.wts[i];
-            if b != from && c > c_from && best.is_none_or(|(bc, bb)| c > bc || (c == bc && b < bb))
-            {
-                best = Some((c, b));
+        let mut moved = false;
+        for (v, &target) in proposals.iter().enumerate() {
+            let Some(b) = target else { continue };
+            if self.loads[b] + wg.vwts[v] > self.g_max {
+                continue;
+            }
+            let from = self.assign[v];
+            if b != from && self.conn.get(v, b) > self.conn.get(v, from) {
+                self.move_vertex(v, b);
+                moved = true;
             }
         }
-        best.map(|(_, b)| b)
-    };
-    let proposals: Vec<Option<usize>> = if wg.vertex_count() >= PAR_THRESHOLD {
-        (0..wg.vertex_count())
-            .into_par_iter()
-            .map_init(ConnScratch::default, |conn, v| propose(conn, v))
-            .collect()
-    } else {
-        let mut scratch = ConnScratch::default();
-        (0..wg.vertex_count())
-            .map(|v| propose(&mut scratch, v))
-            .collect()
-    };
-
-    let mut moved = false;
-    for (v, &target) in proposals.iter().enumerate() {
-        let Some(b) = target else { continue };
-        if loads[b] + wg.vwts[v] > g_max {
-            continue;
-        }
-        let from = assign[v];
-        if b == from {
-            continue;
-        }
-        conn.gather(wg, v, assign);
-        if conn.get(b) > conn.get(from) {
-            loads[from] -= wg.vwts[v];
-            loads[b] += wg.vwts[v];
-            assign[v] = b;
-            moved = true;
-        }
+        moved
     }
-    moved
-}
 
-/// Weighted swap pass for capacity-saturated levels where single moves are
-/// blocked. Only pairs within *distance two* of each other are examined: a
-/// profitable swap pulls both endpoints toward their own neighborhoods, so
-/// the partners of the classic quadratic sweep are almost always a cut edge
-/// or two vertices sharing a neighbor across the boundary (corner
-/// exchanges). That bounds the pass at `O(n · degree²)` — cheap enough to
-/// run at every level. Swaps must not push either block above
-/// `max(g_max, its current load)`.
-fn swap_pass(
-    wg: &WeightedGraph,
-    assign: &mut [usize],
-    loads: &mut [u64],
-    g_max: u64,
-    conn: &mut ConnScratch,
-    dist2: bool,
-) -> bool {
-    let mut swapped = false;
-    let mut cand: Vec<usize> = Vec::new();
-    let mut conn_v: Vec<(usize, u64)> = Vec::new();
-    // Epoch stamps dedup the distance-2 candidate list in O(1) per entry;
-    // candidates keep their (deterministic) first-seen scan order.
-    let mut stamp: Vec<usize> = vec![usize::MAX; wg.vertex_count()];
-    // Weighted degree bounds a partner's best possible gain: `gain_w` can
-    // never exceed `w`'s total incident edge weight, so pairs failing
-    // `gain_v + wdeg[w] > 0` are rejected before the O(degree) gather.
-    let wdeg: Vec<u64> = (0..wg.vertex_count())
-        .map(|v| wg.edges_of(v).map(|(_, ew)| ew).sum())
-        .collect();
-    for v in 0..wg.vertex_count() {
-        // An interior vertex loses its whole neighborhood by leaving its
-        // block — never a profitable partner. Restricting to boundary
-        // vertices keeps the sweep proportional to the cut, not to n.
-        let bv = assign[v];
-        if wg.edges_of(v).all(|(u, _)| assign[u] == bv) {
-            continue;
-        }
-        cand.clear();
-        for (u, _) in wg.edges_of(v) {
-            if u > v && stamp[u] != v {
-                stamp[u] = v;
-                cand.push(u);
+    /// Weighted swap pass for capacity-saturated levels where single moves
+    /// are blocked. Only pairs within *distance two* of each other are
+    /// examined: a profitable swap pulls both endpoints toward their own
+    /// neighborhoods, so the partners of the classic quadratic sweep are
+    /// almost always a cut edge or two vertices sharing a neighbor across
+    /// the boundary (corner exchanges). That bounds the pass at
+    /// `O(n · degree²)` — cheap enough to run at every level. Swaps must not
+    /// push either block above `max(g_max, its current load)`.
+    fn swap_pass(&mut self, dist2: bool) -> bool {
+        let wg = self.wg;
+        let mut swapped = false;
+        // Epoch stamps visit each partner once per `v`, in first-seen scan
+        // order; the first profitable partner wins.
+        let mut stamp: Vec<usize> = vec![usize::MAX; wg.vertex_count()];
+        let wdeg: Vec<u64> = (0..wg.vertex_count())
+            .map(|v| wg.edges_of(v).map(|(_, ew)| ew).sum())
+            .collect();
+        for v in 0..wg.vertex_count() {
+            // An interior vertex loses its whole neighborhood by leaving its
+            // block — never a profitable partner. Restricting to boundary
+            // vertices keeps the sweep proportional to the cut, not to n.
+            if self.conn.get(v, self.assign[v]) == wdeg[v] {
+                continue;
             }
-            if dist2 {
-                for (w, _) in wg.edges_of(u) {
-                    if w > v && stamp[w] != v {
-                        stamp[w] = v;
-                        cand.push(w);
+            let mut fresh = |w: usize| w > v && std::mem::replace(&mut stamp[w], v) != v;
+            'partners: for (u, _) in wg.edges_of(v) {
+                if fresh(u) && self.try_swap(&wdeg, v, u) {
+                    swapped = true;
+                    break;
+                }
+                if dist2 {
+                    for (w, _) in wg.edges_of(u) {
+                        if fresh(w) && self.try_swap(&wdeg, v, w) {
+                            swapped = true;
+                            break 'partners;
+                        }
                     }
                 }
             }
         }
-        // `v`'s connectivity is gathered once for the whole candidate loop;
-        // a successful swap moves `v`, so the loop breaks to the next vertex
-        // rather than reusing stale gains.
-        conn.gather(wg, v, assign);
-        let conn_v_from = conn.get(bv);
-        conn_v.clear();
-        conn_v.extend(conn.blocks.iter().copied().zip(conn.wts.iter().copied()));
-        for &w in &cand {
-            let bw = assign[w];
-            if bv == bw {
-                continue;
-            }
-            let conn_v_to = conn_v
-                .iter()
-                .find(|&&(b, _)| b == bw)
-                .map_or(0, |&(_, c)| c);
-            let gain_v = conn_v_to as i64 - conn_v_from as i64;
-            if gain_v + wdeg[w] as i64 <= 0 {
-                continue;
-            }
-            let new_v = loads[bv] - wg.vwts[v] + wg.vwts[w];
-            let new_w = loads[bw] - wg.vwts[w] + wg.vwts[v];
-            if new_v > g_max.max(loads[bv]) || new_w > g_max.max(loads[bw]) {
-                continue;
-            }
-            // Direct v–w edge weight (0 when the pair only shares a
-            // neighbor); counted as a gain by both scans below but still
-            // cut after the swap, so it is subtracted twice.
-            let adj = wg
-                .edges_of(v)
-                .find(|&(x, _)| x == w)
-                .map_or(0, |(_, ew)| ew);
-            conn.gather(wg, w, assign);
-            let gain_w = conn.get(bv) as i64 - conn.get(bw) as i64;
-            if gain_v + gain_w - 2 * adj as i64 > 0 {
-                loads[bv] = new_v;
-                loads[bw] = new_w;
-                assign[v] = bw;
-                assign[w] = bv;
-                swapped = true;
-                break;
-            }
-        }
+        swapped
     }
-    swapped
+
+    /// Swaps `v` and `w` when that lowers the weighted cut within capacity.
+    /// The O(1) table bounds run first, the O(degree) adjacency scan last.
+    fn try_swap(&mut self, wdeg: &[u64], v: usize, w: usize) -> bool {
+        let (wg, g_max, loads) = (self.wg, self.g_max, &self.loads);
+        let (bv, bw) = (self.assign[v], self.assign[w]);
+        if bv == bw {
+            return false;
+        }
+        // `gain_w` can never exceed `w`'s weighted degree.
+        let gain_v = self.conn.get(v, bw) as i64 - self.conn.get(v, bv) as i64;
+        if gain_v + wdeg[w] as i64 <= 0 {
+            return false;
+        }
+        let new_v = loads[bv] - wg.vwts[v] + wg.vwts[w];
+        let new_w = loads[bw] - wg.vwts[w] + wg.vwts[v];
+        if new_v > g_max.max(loads[bv]) || new_w > g_max.max(loads[bw]) {
+            return false;
+        }
+        let gain_w = self.conn.get(w, bv) as i64 - self.conn.get(w, bw) as i64;
+        if gain_v + gain_w <= 0 {
+            return false;
+        }
+        // Direct v–w edge weight (0 when the pair only shares a neighbor);
+        // counted as a gain by both endpoints but still cut after the swap,
+        // so it is subtracted twice.
+        let adj = wg
+            .edges_of(v)
+            .find(|&(x, _)| x == w)
+            .map_or(0, |(_, ew)| ew);
+        if gain_v + gain_w - 2 * adj as i64 <= 0 {
+            return false;
+        }
+        self.move_vertex(v, bw);
+        self.move_vertex(w, bv);
+        true
+    }
 }
 
 /// Per-level refinement policy: how many move passes run, whether overflow
@@ -792,32 +823,50 @@ struct RefinePlan {
 }
 
 /// Refines `assign` at one level: drain, then up to `plan.passes` rounds of
-/// the parallel move pass with a swap pass when moves stall.
+/// the move pass with a swap pass when moves stall. `conn` is all-zero on
+/// entry and on return.
 fn refine_level(
     wg: &WeightedGraph,
     assign: &mut [usize],
-    num_blocks: usize,
     g_max: u64,
     plan: RefinePlan,
+    conn: &mut BlockConn,
 ) {
-    let mut loads = vec![0u64; num_blocks];
+    let mut loads = vec![0u64; conn.blocks];
     for (v, &b) in assign.iter().enumerate() {
         loads[b] += wg.vwts[v];
     }
-    let mut conn = ConnScratch::default();
-    let damage_cap = if plan.strict { None } else { Some(0) };
-    drain_overflow(wg, assign, &mut loads, g_max, &mut conn, damage_cap);
+    conn.fill(wg, assign);
+    let mut r = Refiner {
+        wg,
+        g_max,
+        assign,
+        loads,
+        conn,
+    };
+    r.drain(if plan.strict { None } else { Some(0) });
+    debug_assert!(r.conn.matches(wg, r.assign), "table diverged in the drain");
     let mut swaps_left = plan.swap_budget; // the quadratic pass is a stall-breaker, not a workhorse
     for _ in 0..plan.passes.max(1) {
-        let moved = parallel_move_pass(wg, assign, &mut loads, g_max, &mut conn);
+        let moved = r.move_pass();
+        debug_assert!(
+            r.conn.matches(wg, r.assign),
+            "table diverged in a move pass"
+        );
         if moved {
             continue;
         }
-        if swaps_left == 0 || !swap_pass(wg, assign, &mut loads, g_max, &mut conn, plan.dist2) {
+        let swapped = swaps_left > 0 && r.swap_pass(plan.dist2);
+        debug_assert!(
+            r.conn.matches(wg, r.assign),
+            "table diverged in a swap pass"
+        );
+        if !swapped {
             break;
         }
         swaps_left -= 1;
     }
+    r.conn.clear(wg, r.assign);
 }
 
 /// Per-level trace of one multilevel run (coarsest level last), for the
@@ -887,13 +936,13 @@ fn multilevel_impl(
     }
 
     let hierarchy = Hierarchy::build(g, g_max, opts, seed);
+    let mut conn = BlockConn::new(n, num_blocks);
     let coarsest = hierarchy.levels.last().expect("non-empty hierarchy");
     let t0 = std::time::Instant::now();
-    let mut assign = initial_partition(coarsest, num_blocks, g_max as u64, seed);
+    let mut assign = initial_partition(coarsest, g_max as u64, seed, &mut conn);
     refine_level(
         coarsest,
         &mut assign,
-        num_blocks,
         g_max as u64,
         RefinePlan {
             passes: opts.refine_passes,
@@ -901,6 +950,7 @@ fn multilevel_impl(
             swap_budget: 2,
             dist2: true,
         },
+        &mut conn,
     );
     let mut level_secs = vec![t0.elapsed().as_secs_f64()];
 
@@ -910,7 +960,6 @@ fn multilevel_impl(
         refine_level(
             &hierarchy.levels[i],
             &mut assign,
-            num_blocks,
             g_max as u64,
             RefinePlan {
                 passes: opts.refine_passes,
@@ -918,6 +967,7 @@ fn multilevel_impl(
                 swap_budget: if i == 0 { 1 } else { 0 },
                 dist2: i > 0,
             },
+            &mut conn,
         );
         level_secs.push(t.elapsed().as_secs_f64());
     }
@@ -928,12 +978,12 @@ fn multilevel_impl(
     // already beats the refined projection, refine it too and keep the winner.
     let t_net = std::time::Instant::now();
     let finest = &hierarchy.levels[0];
+    let mut cut = finest.cut(&assign);
     let mut direct = bfs_seed_weighted(finest, num_blocks, g_max as u64);
-    if finest.cut(&direct) < finest.cut(&assign) {
+    if finest.cut(&direct) < cut {
         refine_level(
             finest,
             &mut direct,
-            num_blocks,
             g_max as u64,
             RefinePlan {
                 passes: opts.refine_passes,
@@ -941,9 +991,12 @@ fn multilevel_impl(
                 swap_budget: 2,
                 dist2: false,
             },
+            &mut conn,
         );
-        if finest.cut(&direct) < finest.cut(&assign) {
+        let direct_cut = finest.cut(&direct);
+        if direct_cut < cut {
             assign = direct;
+            cut = direct_cut;
         }
     }
     if let Some(last) = level_secs.last_mut() {
@@ -961,7 +1014,8 @@ fn multilevel_impl(
             });
         }
     }
-    let cut = metrics::cut_edges(g, &assign);
+    let cut = cut as usize;
+    debug_assert_eq!(cut, metrics::cut_edges(g, &assign));
     debug_assert!(
         {
             let mut loads = vec![0u64; num_blocks];

@@ -3,11 +3,6 @@
 use epgs_graph::{metrics, Graph};
 
 /// Knobs of the METIS-style multilevel scheme (see [`crate::multilevel`]).
-///
-/// These are deliberately explicit configuration rather than hard-coded
-/// constants: the DAC-style related work (CANDID DAC, RL-for-DAC) motivates
-/// per-instance dynamic configuration, and a future `TuningPolicy` will
-/// drive exactly these fields from cheap instance features.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MultilevelOptions {
     /// Stop coarsening (and skip the scheme entirely) at or below this many
@@ -41,9 +36,12 @@ pub enum PartitionScheme {
     Flat,
     /// Multilevel coarsening: heavy-edge matching down to a small graph,
     /// initial partition there, FM refinement at every level on the way
-    /// back up. ~10–50× faster than [`PartitionScheme::Flat`] above ~50
-    /// vertices; graphs at or below the coarsening cutoff delegate to the
-    /// flat engine unchanged.
+    /// back up. Graphs at or below the coarsening cutoff (48 vertices by
+    /// default) delegate to the flat engine unchanged. Above it, the LC
+    /// beam (budget 8) spends about 8× less time partitioning the six
+    /// scale_mix graphs (n = 82–200) than under
+    /// [`PartitionScheme::Flat`]: 5.1 s against 43 s, single-threaded, on
+    /// a shared 2-vCPU Linux VM.
     Multilevel(MultilevelOptions),
 }
 
