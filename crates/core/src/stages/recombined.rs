@@ -7,8 +7,9 @@ use epgs_circuit::{circuit_metrics, simulate, Circuit, CircuitMetrics, Op, Qubit
 use epgs_graph::{height, ops, Graph};
 use epgs_hardware::{CompileObjective, LossReport};
 use epgs_partition::Partition;
-use epgs_solver::ordering;
-use epgs_solver::reverse::{solve_with_ordering, Affinity, SolveOptions};
+use epgs_solver::reverse::{solve_with_ordering_in, Affinity, SolveOptions, SolverWorkspace};
+use epgs_solver::{ordering, SolverError};
+use rayon::prelude::*;
 
 use crate::error::FrameworkError;
 use crate::schedule::{Placement, Schedule};
@@ -19,10 +20,12 @@ use crate::subgraph::SubgraphPlan;
 
 /// How the scheduled leaf circuits are recombined into one global circuit.
 ///
-/// Strategies are tried in order and compete under the configured
-/// [`CompileObjective`] (the default, [`CompileObjective::Emitters`], is
-/// the paper's lexicographic #ee-CNOT, then `T_loss`, then duration
-/// order; see [`crate::FrameworkConfig::objective`]).
+/// Every strategy's candidate solves run on the worker pool and compete
+/// under the configured [`CompileObjective`] (the default,
+/// [`CompileObjective::Emitters`], is the paper's lexicographic #ee-CNOT,
+/// then `T_loss`, then duration order; see
+/// [`crate::FrameworkConfig::objective`]); ties keep candidate order, so
+/// the winner does not depend on the thread count.
 /// [`Scheduled::recombine`] runs [`RecombineStrategy::all`] — scheduled
 /// interleave, block-sequential, direct solve — letting the framework
 /// degenerate gracefully when partitioning does not pay.
@@ -37,6 +40,16 @@ pub enum RecombineStrategy {
     BlockSequential,
     /// A direct whole-graph solve of the *original* target (no partition,
     /// no LC) over the deterministic ordering heuristics.
+    ///
+    /// Its starting pool depends on the other strategies. Next to a
+    /// schedule strategy it starts at the schedule's shared pool,
+    /// `ne_limit` raised to the interleaved ordering's height-function
+    /// demand; alone it starts at `ne_limit`. On lattice-20, -28, -36 and
+    /// -44, lattice-10×10 and heavy-hex-3×4 the full race therefore returns
+    /// a DirectSolve circuit that no single strategy produces: the same
+    /// ee-CNOTs, but more declared emitters (31 instead of 15 on
+    /// lattice-10×10, both with 90 ee-CNOTs). Attribution by strategy
+    /// inherits this.
     DirectSolve,
 }
 
@@ -170,32 +183,39 @@ impl Recombined {
         // one, else the configured model (Emitters scores the configured
         // model's T_loss/duration — the paper's default).
         let score_hw = objective.hardware().unwrap_or(&cfg.hardware);
-        let mut best: Option<(RecombineStrategy, Circuit, epgs_hardware::ObjectiveScore)> = None;
-        let mut last_err = None;
-        for (strategy, (graph, ord, aff, lc_seq)) in candidates {
-            // Each candidate sizes its own pool: the shared budget, raised to
-            // that ordering's height-function demand.
-            let candidate_pool = pool.max(height::min_emitters(graph, &ord).max(1));
-            let opts = SolveOptions {
-                emitters: Some(candidate_pool),
-                max_pool_growth: 8,
-                verify: false,
-                affinity: aff,
-                ..SolveOptions::default()
-            };
-            match solve_with_ordering(graph, &ord, &opts) {
-                Ok(solved) => {
-                    let mut circuit = solved.circuit;
-                    // Undo the LC sequence with single-qubit photon gates so
-                    // the circuit delivers |target⟩, not |transformed⟩.
+        let results: Vec<Result<_, SolverError>> = candidates
+            .into_par_iter()
+            .map_init(
+                SolverWorkspace::new,
+                |ws, (strategy, (graph, ord, aff, lc_seq))| {
+                    // Each candidate sizes its own pool: the shared budget, raised
+                    // to that ordering's height-function demand.
+                    let candidate_pool = pool.max(height::min_emitters(graph, &ord).max(1));
+                    let opts = SolveOptions {
+                        emitters: Some(candidate_pool),
+                        max_pool_growth: 8,
+                        verify: false,
+                        affinity: aff,
+                        ..SolveOptions::default()
+                    };
+                    let mut circuit = solve_with_ordering_in(ws, graph, &ord, &opts)?.circuit;
+                    // Undo the LC sequence with single-qubit photon gates so the
+                    // circuit delivers |target⟩, not |transformed⟩.
                     append_lc_inverse(&mut circuit, target, lc_seq);
                     let score =
                         objective.score(&circuit_metrics(score_hw, &circuit).objective_figures());
-                    let better = match &best {
-                        None => true,
-                        Some((_, _, b)) => score < *b,
-                    };
-                    if better {
+                    Ok((strategy, circuit, score))
+                },
+            )
+            .collect();
+        // Reduce in candidate order with a strict `<`, so a tie keeps the
+        // earlier candidate whatever order the workers finished in.
+        let mut best: Option<(RecombineStrategy, Circuit, epgs_hardware::ObjectiveScore)> = None;
+        let mut last_err = None;
+        for result in results {
+            match result {
+                Ok((strategy, circuit, score)) => {
+                    if best.as_ref().is_none_or(|(_, _, b)| score < *b) {
                         best = Some((strategy, circuit, score));
                     }
                 }

@@ -82,8 +82,8 @@ impl Scheduled {
         self.recombine_with(&RecombineStrategy::all())
     }
 
-    /// Stage 4 with an explicit strategy list, tried in order; the best
-    /// circuit under the configured
+    /// Stage 4 with an explicit strategy list, solved on the worker pool
+    /// (ties keep candidate order); the best circuit under the configured
     /// [objective](crate::FrameworkConfig::objective) wins (the default
     /// objective is the paper's lexicographic #ee-CNOT, then `T_loss`,
     /// then duration order).

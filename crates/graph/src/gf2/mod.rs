@@ -180,6 +180,16 @@ impl BitVec {
         self.words[i / 64] ^= 1u64 << (i % 64);
     }
 
+    /// Appends one bit, growing the backing storage by a word when the
+    /// last one is full.
+    pub fn push(&mut self, value: bool) {
+        if self.len.is_multiple_of(64) {
+            self.words.push(0);
+        }
+        self.len += 1;
+        self.set(self.len - 1, value);
+    }
+
     /// Swaps bits `a` and `b`.
     #[inline]
     pub fn swap_bits(&mut self, a: usize, b: usize) {
@@ -568,8 +578,8 @@ impl BitMatrix {
     /// ≤ 64-row, > 128-column systems take the word loop
     /// ([`BitMatrix::rref_within_wordloop_into`]). All three run in real
     /// compiles: compiling the `scale_mix` benchmark graphs once makes
-    /// 27,086 small, 23,799 Four-Russians and 576 word-loop calls; the
-    /// `paper_sweep` graphs make 29,197 / 5,072 / 0. All three paths perform
+    /// 20,349 small, 9,845 Four-Russians and 576 word-loop calls; the
+    /// `paper_sweep` graphs make 21,728 / 1,786 / 0. All three paths perform
     /// the same elementary row operations and produce bit-identical reduced
     /// matrices and pivot lists.
     pub fn rref_within_into(&mut self, lead_cols: usize, pivots: &mut Vec<usize>) {

@@ -15,9 +15,15 @@
 //!    emitter `e` is entangled as `X_e Z_j` (forward reading: measure `e`,
 //!    apply `Z` on photon `j` on outcome 1). This is what frees emitters for
 //!    reuse in forward time.
-//! 3. **Emitter disentangling** — after all photons are absorbed, the
-//!    emitter-only state is reduced to a graph state, its edges removed with
-//!    CZs, and the wires Hadamard-ed back to |0⟩.
+//! 3. **Emitter disentangling** — after all photons are absorbed (each
+//!    photon already owns an isolated `+Z` row, so no photon gauge sweep is
+//!    needed), the emitter-only state is reduced to a graph state, its edges
+//!    removed with CZs, and the wires Hadamard-ed back to |0⟩.
+//!
+//! When a step needs a free emitter and every pooled emitter is busy, the
+//! solver appends a fresh |0⟩ emitter to the tableau in place (up to
+//! [`SolveOptions::max_pool_growth`] of them) rather than restarting with a
+//! larger pool.
 //!
 //! Reversing the recorded operation list and inverting each op yields the
 //! forward circuit, which is verified against the target by the tableau
@@ -45,7 +51,7 @@ use crate::error::SolverError;
 /// [`solve_with_ordering`].
 #[derive(Debug, Clone)]
 pub struct SolverWorkspace {
-    /// The solver's tableau, reset in place per attempt.
+    /// The solver's tableau, reset in place per solve.
     t: Tableau,
     /// The reverse-time operation log.
     ops: Vec<RevOp>,
@@ -157,7 +163,12 @@ pub struct SolveOptions {
     /// Emitter pool size; `None` sizes the pool to the height-function
     /// minimum of the ordering.
     pub emitters: Option<usize>,
-    /// Extra pool head-room attempts if the first pool size fails.
+    /// At most this many emitters are added to the pool, one at a time,
+    /// when it runs out: a solve that needs a free emitter while every
+    /// pooled one is busy appends a fresh |0⟩ emitter and carries on. The
+    /// result equals a solve with a fixed pool of the reported
+    /// [`Solved::emitters`] whenever the affinity names only emitters of
+    /// the starting pool (an added emitter is then the last one tried).
     pub max_pool_growth: usize,
     /// Verify the compiled circuit with the stabilizer simulator before
     /// returning (cheap at benchmark sizes; indispensable in tests).
@@ -187,7 +198,8 @@ impl Default for SolveOptions {
 pub struct Solved {
     /// The forward generation circuit.
     pub circuit: Circuit,
-    /// Emitter pool size actually used.
+    /// Emitter pool size actually used: the starting pool plus the
+    /// emitters the solve added.
     pub emitters: usize,
     /// The emission ordering that was compiled.
     pub ordering: Vec<usize>,
@@ -199,8 +211,9 @@ pub struct Solved {
 /// # Errors
 ///
 /// * [`SolverError::InvalidOrdering`] if `ordering` is not a permutation;
-/// * [`SolverError::InsufficientEmitters`] if the pool (after
-///   `max_pool_growth` retries) cannot host the ordering;
+/// * [`SolverError::InsufficientEmitters`] if the pool, with
+///   `max_pool_growth` emitters added one at a time as it runs out, cannot
+///   host the ordering;
 /// * [`SolverError::VerificationFailed`] if the paranoid self-check fails
 ///   (a bug, not an input condition).
 pub fn solve_with_ordering(
@@ -242,40 +255,31 @@ pub fn solve_with_ordering_in(
             return Err(SolverError::InvalidOrdering { photons: n });
         }
     }
-    let base_pool = options
+    let pool = options
         .emitters
         .unwrap_or_else(|| height::min_emitters(target, ordering).max(1));
-    let mut last_err = None;
-    for grow in 0..=options.max_pool_growth {
-        let pool = base_pool + grow;
-        match ReverseSolver::new(
-            ws,
-            target,
-            ordering,
-            pool,
-            options.affinity.as_ref(),
-            options.vanilla_elements,
-        )
-        .run()
-        {
-            Ok(circuit) => {
-                if options.verify {
-                    let ok = simulate::verify_circuit(&circuit, target)
-                        .map_err(|_| SolverError::VerificationFailed)?;
-                    if !ok {
-                        return Err(SolverError::VerificationFailed);
-                    }
-                }
-                return Ok(Solved {
-                    circuit,
-                    emitters: pool,
-                    ordering: ordering.to_vec(),
-                });
-            }
-            Err(e) => last_err = Some(e),
+    let circuit = ReverseSolver::new(
+        ws,
+        target,
+        ordering,
+        pool,
+        pool + options.max_pool_growth,
+        options.affinity.as_ref(),
+        options.vanilla_elements,
+    )
+    .run()?;
+    if options.verify {
+        let ok = simulate::verify_circuit(&circuit, target)
+            .map_err(|_| SolverError::VerificationFailed)?;
+        if !ok {
+            return Err(SolverError::VerificationFailed);
         }
     }
-    Err(last_err.expect("at least one attempt was made"))
+    Ok(Solved {
+        emitters: circuit.num_emitters(),
+        circuit,
+        ordering: ordering.to_vec(),
+    })
 }
 
 /// Compiles `target` with the natural ordering `0..n`.
@@ -300,7 +304,9 @@ struct ReverseSolver<'g> {
     ws: &'g mut SolverWorkspace,
     ordering: &'g [usize],
     n: usize,
+    /// Emitters on the tableau now; grows up to `max_pool`.
     pool: usize,
+    max_pool: usize,
     affinity: Option<&'g Affinity>,
     vanilla_elements: bool,
 }
@@ -311,6 +317,7 @@ impl<'g> ReverseSolver<'g> {
         target: &'g Graph,
         ordering: &'g [usize],
         pool: usize,
+        max_pool: usize,
         affinity: Option<&'g Affinity>,
         vanilla_elements: bool,
     ) -> Self {
@@ -324,6 +331,7 @@ impl<'g> ReverseSolver<'g> {
             ordering,
             n,
             pool,
+            max_pool,
             affinity,
             vanilla_elements,
         }
@@ -365,8 +373,10 @@ impl<'g> ReverseSolver<'g> {
         }
     }
 
-    /// Emitters currently free (disentangled in |0⟩/|1⟩; |1⟩ gets fixed),
-    /// preferring emitters assigned to photon `j`'s block.
+    /// An emitter currently free (disentangled in |0⟩ or |1⟩), preferring
+    /// emitters assigned to photon `j`'s block; when every emitter is busy,
+    /// a fresh one if the pool may still grow. Every caller isolates the
+    /// emitter's `Z` row next, which also fixes |1⟩ to |0⟩.
     fn find_free_emitter(&mut self, j: usize) -> Option<usize> {
         // Visit emitters sorted by (weight, e) without materializing a
         // candidate Vec: sweep one weight tier at a time, deriving the next
@@ -382,20 +392,39 @@ impl<'g> ReverseSolver<'g> {
                 if self.emitter_weight(j, e) != tier {
                     continue;
                 }
-                let wire = self.emitter_wire(e);
-                let ws = &mut *self.ws;
-                if let Some(sign) = ws.t.deterministic_z_sign_in(wire, &mut ws.element) {
-                    if sign {
-                        // |1⟩ → |0⟩; forward X at the mirrored position
-                        // (legal on emitters at any time).
-                        self.apply(RevOp::X(wire));
-                    }
+                // Free ⟺ no generator has an X on the wire.
+                if self.ws.t.col_x(self.emitter_wire(e)).is_zero() {
                     return Some(e);
                 }
             }
             done_below = Some(tier);
         }
-        None
+        self.grow_pool(j)
+    }
+
+    /// Appends a fresh |0⟩ emitter as the last wire and row, unless the
+    /// pool is at `max_pool`, and returns it. The current absorption's
+    /// allowed-wire list and weights learn about it too.
+    ///
+    /// A fixed pool holding this emitter from the start gives the same
+    /// solve: an idle |0⟩ emitter only adds a zero column or an isolated
+    /// singleton pivot to each constraint system (reduced row echelon
+    /// forms are unique, and its null vector only adds weight), and it is
+    /// the last emitter of its weight tier, so it is picked exactly when
+    /// every other emitter is busy — here.
+    fn grow_pool(&mut self, j: usize) -> Option<usize> {
+        if self.pool == self.max_pool {
+            return None;
+        }
+        let e = self.pool;
+        let weight = self.emitter_weight(j, e);
+        let ws = &mut *self.ws;
+        let wire = ws.t.append_zero_qubit();
+        debug_assert_eq!(wire, self.n + e);
+        ws.emitter_wires.push(wire);
+        ws.weights.push(weight);
+        self.pool += 1;
+        Some(e)
     }
 
     /// Brings the tableau to a gauge where exactly one row is `+Z_wire` and
@@ -468,10 +497,12 @@ impl<'g> ReverseSolver<'g> {
     /// Absorbs photon `j` (the last unabsorbed photon of the ordering).
     fn absorb_photon(&mut self, j: usize) -> Result<(), SolverError> {
         let n = self.n;
-        let pool = self.pool;
         let vanilla = self.vanilla_elements;
         let affinity = self.affinity;
         {
+            // Emitters added during this absorption are appended by
+            // `grow_pool`.
+            let pool = self.pool;
             let ws = &mut *self.ws;
             ws.emitter_wires.clear();
             ws.emitter_wires.extend(n..n + pool);
@@ -527,11 +558,11 @@ impl<'g> ReverseSolver<'g> {
             .expect("rg has support on photon j");
         self.record_rotation(&gates, j);
 
-        // Emitter support of g.
+        // Emitter support of g (the pool may have grown for the TRM).
         {
             let ws = &mut *self.ws;
             ws.support_e.clear();
-            for e in 0..pool {
+            for e in 0..self.pool {
                 let w = n + e;
                 if ws.t.x_bit(rg, w) || ws.t.z_bit(rg, w) {
                     ws.support_e.push(e);
@@ -635,11 +666,18 @@ impl<'g> ReverseSolver<'g> {
     /// absorbed, paying one CZ per edge of the emitters' residual graph
     /// state.
     fn disentangle_emitters(&mut self) {
-        // Gauge: remove photon z-bits from emitter rows using the photon
-        // rows (each photon wire is +Z after absorption).
-        for p in 0..self.n {
-            let _ = self.isolate_free_wire_row(p);
-        }
+        // Absorption left each photon wire one isolated `+Z` row, and no
+        // later row operation touches a row supported on one photon alone.
+        debug_assert!(
+            (0..self.n).all(|p| {
+                let t = &self.ws.t;
+                let row = t.col_z(p).first_one();
+                t.col_x(p).is_zero()
+                    && t.col_z(p).count_ones() == 1
+                    && row.is_some_and(|r| t.phase_of(r) == 0 && t.support(r) == [p])
+            }),
+            "every absorbed photon must own an isolated +Z row"
+        );
         // Classify emitters: free ones get gauge-isolated (and |1⟩-fixed),
         // entangled ones make up the residual state to reduce. Skipping free
         // emitters keeps idle pool wires gate-free in the forward circuit.

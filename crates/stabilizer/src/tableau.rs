@@ -191,6 +191,26 @@ impl Tableau {
         }
     }
 
+    /// Appends a fresh |0⟩ qubit as the last wire, stabilized by a new last
+    /// row `+Z`, and returns its index: the state becomes |ψ⟩ ⊗ |0⟩. Every
+    /// existing row gets an identity letter on the new wire, so after
+    /// [`Tableau::reset_graph_state_padded`]`(g, pad)` this yields the
+    /// tableau of `reset_graph_state_padded(g, pad + 1)` bit for bit.
+    pub fn append_zero_qubit(&mut self) -> usize {
+        let q = self.n;
+        for col in self.xs.iter_mut().chain(&mut self.zs) {
+            col.push(false);
+        }
+        self.phase_lo.push(false);
+        self.phase_hi.push(false);
+        self.n += 1;
+        self.xs.push(BitVec::zeros(self.n));
+        let mut z = BitVec::zeros(self.n);
+        z.set(q, true);
+        self.zs.push(z);
+        q
+    }
+
     /// Number of qubits (and generators).
     pub fn num_qubits(&self) -> usize {
         self.n
@@ -1392,6 +1412,62 @@ mod tests {
                 assert_eq!(t.col_z(q).get(r), t.z_bit(r, q));
                 assert_eq!(t.rows_touching(q).get(r), t.x_bit(r, q) || t.z_bit(r, q),);
             }
+        }
+    }
+
+    #[test]
+    fn append_zero_qubit_matches_a_wider_reset() {
+        // 6 → 7 qubits, then row counts that cross a word: 63 → 64, 64 → 65.
+        for (g, pad) in [
+            (generators::lattice(2, 3), 0),
+            (generators::lattice(2, 3), 1),
+            (generators::path(60), 3),
+            (generators::path(60), 4),
+        ] {
+            let mut t = Tableau::zero_state(0);
+            t.reset_graph_state_padded(&g, pad);
+            assert_eq!(t.append_zero_qubit(), g.vertex_count() + pad);
+            let mut wider = Tableau::zero_state(0);
+            wider.reset_graph_state_padded(&g, pad + 1);
+            assert_eq!(t, wider, "n={} pad={pad}", g.vertex_count());
+        }
+    }
+
+    #[test]
+    fn append_zero_qubit_after_cliffords_adds_a_fresh_zero() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        for n in [5, 63, 64] {
+            let g = generators::erdos_renyi(n, 0.1, &mut rng);
+            let mut t = Tableau::graph_state(&g);
+            // The same gates on a tableau that held the extra |0⟩ wire from
+            // the start must end bit for bit equal to the appended one.
+            let mut wider = Tableau::zero_state(0);
+            wider.reset_graph_state_padded(&g, 1);
+            for _ in 0..4 * n {
+                let (op, a, b) = (
+                    rng.gen_range(0..6),
+                    rng.gen_range(0..n),
+                    rng.gen_range(0..n),
+                );
+                for tab in [&mut t, &mut wider] {
+                    match op {
+                        0 => tab.h(a),
+                        1 => tab.s(a),
+                        2 => tab.px(a),
+                        _ if a == b => tab.pz(a),
+                        3 => tab.cnot(a, b),
+                        4 => tab.cz(a, b),
+                        _ => tab.row_mul(a, b),
+                    }
+                }
+            }
+            let q = t.append_zero_qubit();
+            assert_eq!(q, n);
+            assert!(t.is_valid_state(), "n={n}");
+            assert_eq!(t.deterministic_z_sign(q), Some(false), "n={n}");
+            assert_eq!(t, wider, "n={n}");
         }
     }
 

@@ -4,7 +4,8 @@
 //! the block-local LC refinement in `Planned::build`, and the LC beam
 //! scoring in the partitioner, and threaded reusable `SolverWorkspace`s
 //! through the hot solve loops; the multilevel partitioner's proposal pass
-//! later joined them. All of that is engineered to be
+//! and the recombine stage's whole-graph candidate solves later joined
+//! them. All of that is engineered to be
 //! *bit-identical* to the sequential code paths: winners are tie-broken by
 //! candidate index, speculative LC chains are replayed sequentially under
 //! the global budget, and a workspace carries no state between solves.
@@ -14,8 +15,8 @@
 //!   parallel path and the forced-sequential path (`RAYON_NUM_THREADS=1`)
 //!   across instances of all three bench families and the default corpus;
 //! * back-to-back solves through one `SolverWorkspace` match one-shot
-//!   solves bit for bit, including pool-growth retries and TRM-heavy
-//!   orderings.
+//!   solves bit for bit, including solves that grow their emitter pool in
+//!   place and TRM-heavy orderings.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
