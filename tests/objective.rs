@@ -225,3 +225,31 @@ fn compiled_loss_report_matches_metrics() {
     assert_eq!(report.exposures.len(), 10, "one exposure per photon");
     assert!((report.mean_exposure - c.metrics.t_loss).abs() < 1e-12);
 }
+
+#[test]
+fn shipped_config_fingerprints_are_pinned() {
+    // Stores key artifacts by `config_fingerprint`, so a change to the
+    // fingerprint of a config that ships invalidates every store written
+    // under it. These literals move only on purpose.
+    let pins = [
+        (
+            "FrameworkConfig::default",
+            FrameworkConfig::default(),
+            0x22f9_3e61_c63c_76f6,
+        ),
+        (
+            "bench_framework",
+            epgs_bench::bench_framework().config().clone(),
+            0x36dc_051a_cec4_3b28,
+        ),
+        (
+            "serve default_config",
+            default_config(),
+            0xd959_849c_212b_e609,
+        ),
+    ];
+    for (name, config, pinned) in pins {
+        let fp = epgs::config_fingerprint(&config);
+        assert_eq!(fp, pinned, "{name}: {fp:#018x}");
+    }
+}
