@@ -115,13 +115,13 @@ fn main() -> ExitCode {
         .collect();
 
     // A corpus may pin a hardware preset; it overrides the bench default
-    // end to end (timings, loss figures, and any objective the config
-    // carries). `from_json` validated the key, but specs built in code
-    // reach here too.
+    // end to end (timings, loss figures and objective scoring).
+    // `from_json` validated the key, but specs built in code reach here
+    // too.
     let mut config = corpus_framework().config().clone();
     match spec.hardware_model() {
         Ok(None) => {}
-        Ok(Some(hw)) => config.set_platform(hw),
+        Ok(Some(hw)) => config.hardware = hw,
         Err(e) => {
             eprintln!("spec '{}': {e}", spec.name);
             return ExitCode::FAILURE;

@@ -410,10 +410,10 @@ fn pareto_front(points: &[Axes]) -> Vec<bool> {
 }
 
 /// Multi-objective hardware sweep. For the first default-corpus instance
-/// of every family and each hardware preset, compiles under a
-/// `Duration(preset)` objective at 1×, 1.5× and 2× `Ne_min`. Partition and
-/// leaf planning run once per preset: the leaf variants are selected under
-/// the preset's objective, so one pipeline per preset keeps the
+/// of every family and each hardware preset, compiles on that preset
+/// under the `Duration` objective at 1×, 1.5× and 2× `Ne_min`. Partition
+/// and leaf planning run once per preset: the leaf variants are selected
+/// under the preset's timing, so one pipeline per preset keeps the
 /// comparison unbiased. The per-instance Pareto front over
 /// `(emitters, duration, mean loss)` — across *all* presets — is flagged
 /// in `target/hardware_sweep.json`.
@@ -450,8 +450,8 @@ fn hardware() -> Result<(), String> {
         let mut points: Vec<Point> = Vec::new();
         for (key, hw) in &presets {
             let mut config = base_config.clone();
-            config.objective = CompileObjective::Duration(hw.clone());
-            config.set_platform(hw.clone());
+            config.hardware = hw.clone();
+            config.objective = CompileObjective::Duration;
             let pipeline = Pipeline::new(config);
             let planned = pipeline
                 .partition(&inst.graph)

@@ -38,7 +38,6 @@ impl CircuitMetrics {
             ee_cnots: self.ee_two_qubit_count,
             duration: self.duration,
             t_loss: self.t_loss,
-            mean_photon_loss: self.loss.mean_photon_loss,
         }
     }
 }

@@ -42,7 +42,7 @@ use rayon::prelude::*;
 use epgs_corpus::json::Writer;
 use epgs_graph::canon::{canonical_hash, fnv1a_all};
 use epgs_graph::Graph;
-use epgs_hardware::{CompileObjective, HardwareModel};
+use epgs_hardware::CompileObjective;
 use epgs_partition::{FaultHook, InjectedFault, SearchControl};
 
 use crate::config::{EmitterBudget, FrameworkConfig};
@@ -57,38 +57,25 @@ use crate::store::{ArtifactStore, StoreStats};
 /// Two configurations with equal fingerprints compile any graph
 /// identically, so the fingerprint is the config half of the cache key.
 pub fn config_fingerprint(cfg: &FrameworkConfig) -> u64 {
-    let hardware_words = |hw: &HardwareModel| -> [u64; 8] {
-        [
-            fnv1a_all(hw.name.bytes().map(u64::from)),
-            hw.ee_two_qubit.to_bits(),
-            hw.emission.to_bits(),
-            hw.emitter_single.to_bits(),
-            hw.photon_single.to_bits(),
-            hw.measurement.to_bits(),
-            hw.photon_loss_per_tau.to_bits(),
-            hw.ee_fidelity.to_bits(),
-        ]
-    };
+    let hw = &cfg.hardware;
+    let hardware_words = [
+        fnv1a_all(hw.name.bytes().map(u64::from)),
+        hw.ee_two_qubit.to_bits(),
+        hw.emission.to_bits(),
+        hw.emitter_single.to_bits(),
+        hw.photon_single.to_bits(),
+        hw.measurement.to_bits(),
+        hw.photon_loss_per_tau.to_bits(),
+        hw.ee_fidelity.to_bits(),
+    ];
     let budget_words = match cfg.emitter_budget {
         EmitterBudget::Factor(f) => [1u64, f.to_bits()],
         EmitterBudget::Absolute(n) => [2u64, n as u64],
     };
-    // Kind discriminant, then weights, then the objective's own hardware
-    // model (if any): objectives that differ in any scored dimension must
-    // fingerprint apart, because they can select different circuits.
-    let objective_words: Vec<u64> = match &cfg.objective {
-        CompileObjective::Emitters => vec![1],
-        CompileObjective::Duration(hw) => std::iter::once(2).chain(hardware_words(hw)).collect(),
-        CompileObjective::Loss(hw) => std::iter::once(3).chain(hardware_words(hw)).collect(),
-        CompileObjective::Weighted {
-            hardware,
-            ee,
-            duration,
-            loss,
-        } => [4, ee.to_bits(), duration.to_bits(), loss.to_bits()]
-            .into_iter()
-            .chain(hardware_words(hardware))
-            .collect(),
+    // Objectives select different circuits, so they fingerprint apart.
+    let objective_word = match cfg.objective {
+        CompileObjective::Emitters => 1u64,
+        CompileObjective::Duration => 2,
     };
     // Scheme discriminant plus every multilevel knob: two configs that can
     // partition a graph differently must key cached artifacts apart.
@@ -111,9 +98,9 @@ pub fn config_fingerprint(cfg: &FrameworkConfig) -> u64 {
     ]
     .into_iter()
     .chain(scheme_words)
-    .chain(hardware_words(&cfg.hardware))
+    .chain(hardware_words)
     .chain(budget_words)
-    .chain(objective_words);
+    .chain([objective_word]);
     fnv1a_all(words)
 }
 
@@ -435,17 +422,6 @@ pub struct BatchReport {
     pub hardware: String,
     /// Wire name of the objective candidates competed under.
     pub objective: String,
-    /// Name of the platform the objective scored under, when it carries
-    /// its own (`None` for [`CompileObjective::Emitters`], which scores
-    /// under [`BatchReport::hardware`]). Two runs with equal `hardware` +
-    /// `objective` but different scoring platforms select different
-    /// circuits; this field keeps them distinguishable.
-    pub objective_hardware: Option<String>,
-    /// The `(ee, duration, loss)` weights of a
-    /// [`CompileObjective::Weighted`] run (`None` otherwise) — two
-    /// weighted runs with different weights select different circuits, so
-    /// the weights are part of the report's identity too.
-    pub objective_weights: Option<[f64; 3]>,
     /// Per-instance reports, in input order.
     pub instances: Vec<InstanceReport>,
     /// Instances that compiled and verified.
@@ -542,13 +518,6 @@ impl BatchReport {
         BatchReport {
             hardware: config.hardware.name.to_string(),
             objective: config.objective.kind_name().to_string(),
-            objective_hardware: config.objective.hardware().map(|hw| hw.name.to_string()),
-            objective_weights: match &config.objective {
-                CompileObjective::Weighted {
-                    ee, duration, loss, ..
-                } => Some([*ee, *duration, *loss]),
-                _ => None,
-            },
             failed: instances.len() - succeeded,
             succeeded,
             cache_hits,
@@ -570,17 +539,6 @@ impl BatchReport {
         w.begin_obj();
         w.field_str("hardware", &self.hardware);
         w.field_str("objective", &self.objective);
-        if let Some(oh) = &self.objective_hardware {
-            w.field_str("objective_hardware", oh);
-        }
-        if let Some([ee, duration, loss]) = self.objective_weights {
-            w.key("objective_weights");
-            w.begin_obj();
-            w.field_number("ee", ee);
-            w.field_number("duration", duration);
-            w.field_number("loss", loss);
-            w.end_obj();
-        }
         w.field_uint("succeeded", self.succeeded as u64);
         w.field_uint("failed", self.failed as u64);
         w.field_uint("cache_hits", self.cache_hits as u64);

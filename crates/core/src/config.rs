@@ -40,6 +40,21 @@ impl EmitterBudget {
 /// };
 /// assert_eq!(config.partition.g_max, 7);
 /// ```
+///
+/// Targeting another platform is assigning its preset; the objective
+/// scores candidates under it:
+///
+/// ```
+/// use epgs::{CompileObjective, FrameworkConfig};
+/// use epgs_hardware::HardwareModel;
+///
+/// let config = FrameworkConfig {
+///     hardware: HardwareModel::rydberg(),
+///     objective: CompileObjective::Duration,
+///     ..Default::default()
+/// };
+/// assert_eq!(config.hardware.name, "Rydberg superatom");
+/// ```
 #[derive(Debug, Clone)]
 pub struct FrameworkConfig {
     /// Partitioning parameters (g_max, LC budget l, search effort).
@@ -47,11 +62,10 @@ pub struct FrameworkConfig {
     /// Hardware timing/loss model used for scheduling and reported metrics.
     pub hardware: HardwareModel,
     /// What candidate circuits compete on — leaf-variant selection and
-    /// recombination both minimize this. Objectives that name a
-    /// [`HardwareModel`] score candidates under *that* platform;
-    /// [`CompileObjective::Emitters`] (the default) scores under
-    /// [`FrameworkConfig::hardware`] and reproduces the paper's
-    /// lexicographic (#ee-CNOT, `T_loss`, duration) order exactly.
+    /// recombination both minimize this, with figures measured under
+    /// [`FrameworkConfig::hardware`]. [`CompileObjective::Emitters`] (the
+    /// default) reproduces the paper's lexicographic (#ee-CNOT, `T_loss`,
+    /// duration) order exactly.
     pub objective: CompileObjective,
     /// Emitter budget Ne_limit.
     pub emitter_budget: EmitterBudget,
@@ -72,31 +86,6 @@ impl Default for FrameworkConfig {
             orderings_per_subgraph: 8,
             flexible_slack: 2,
         }
-    }
-}
-
-impl FrameworkConfig {
-    /// Targets a platform end to end: sets [`FrameworkConfig::hardware`]
-    /// *and* re-targets any hardware-carrying objective at the same
-    /// preset, so scoring and reporting agree. The single owner of that
-    /// consistency invariant — prefer it over assigning the two fields
-    /// separately (the bench bins all route through here).
-    ///
-    /// ```
-    /// use epgs::{CompileObjective, FrameworkConfig};
-    /// use epgs_hardware::HardwareModel;
-    ///
-    /// let mut config = FrameworkConfig {
-    ///     objective: CompileObjective::Duration(HardwareModel::quantum_dot()),
-    ///     ..Default::default()
-    /// };
-    /// config.set_platform(HardwareModel::rydberg());
-    /// assert_eq!(config.hardware.name, "Rydberg superatom");
-    /// assert_eq!(config.objective.hardware().unwrap().name, "Rydberg superatom");
-    /// ```
-    pub fn set_platform(&mut self, hardware: HardwareModel) {
-        self.objective = std::mem::take(&mut self.objective).with_hardware(hardware.clone());
-        self.hardware = hardware;
     }
 }
 

@@ -71,16 +71,16 @@
 //! solve) in competition, and [`Scheduled::recombine_with`] runs a chosen
 //! subset.
 //!
-//! # The hardware-aware objective layer
+//! # The objective layer
 //!
-//! What candidates compete *on* is itself configurable:
+//! What candidates compete *on* is configurable:
 //! [`FrameworkConfig::objective`] holds a [`CompileObjective`] consumed by
 //! leaf-variant selection and recombination scoring alike. The default,
 //! [`CompileObjective::Emitters`], is the paper's lexicographic
-//! (#ee-CNOT, `T_loss`, duration) order; `Duration(hw)` / `Loss(hw)` /
-//! `Weighted { .. }` re-target the competition at a concrete platform's
-//! timing and loss numbers, so the same graph can compile to different
-//! strategies on different hardware:
+//! (#ee-CNOT, `T_loss`, duration) order; [`CompileObjective::Duration`]
+//! puts duration first. Both measure candidates under
+//! [`FrameworkConfig::hardware`], so the same graph can compile to
+//! different strategies on different platforms:
 //!
 //! ```
 //! use epgs::{CompileObjective, FrameworkConfig, Pipeline};
@@ -88,11 +88,11 @@
 //! use epgs_hardware::HardwareModel;
 //!
 //! # fn main() -> Result<(), epgs::FrameworkError> {
-//! let mut config = FrameworkConfig {
-//!     objective: CompileObjective::Duration(HardwareModel::quantum_dot()),
+//! let config = FrameworkConfig {
+//!     hardware: HardwareModel::rydberg(),
+//!     objective: CompileObjective::Duration,
 //!     ..Default::default()
 //! };
-//! config.set_platform(HardwareModel::rydberg());
 //! let pipeline = Pipeline::new(config);
 //! let compiled = pipeline.compile(&generators::lattice(3, 3))?;
 //! assert_eq!(compiled.objective.kind_name(), "duration");

@@ -3,10 +3,11 @@
 
 use std::sync::Arc;
 
-use epgs_circuit::{circuit_metrics, simulate, Circuit, CircuitMetrics, Op, Qubit};
-use epgs_graph::{height, ops, Graph};
+use epgs_circuit::{circuit_metrics, simulate, Circuit, CircuitMetrics};
+use epgs_graph::{height, Graph};
 use epgs_hardware::{CompileObjective, LossReport};
 use epgs_partition::Partition;
+use epgs_solver::baseline::append_lc_inverse;
 use epgs_solver::reverse::{solve_with_ordering_in, Affinity, SolveOptions, SolverWorkspace};
 use epgs_solver::{ordering, SolverError};
 use rayon::prelude::*;
@@ -179,10 +180,6 @@ impl Recombined {
             return Err(FrameworkError::NoRecombineStrategy);
         }
 
-        // The platform the objective scores under: its own, if it names
-        // one, else the configured model (Emitters scores the configured
-        // model's T_loss/duration — the paper's default).
-        let score_hw = objective.hardware().unwrap_or(&cfg.hardware);
         let results: Vec<Result<_, SolverError>> = candidates
             .into_par_iter()
             .map_init(
@@ -202,8 +199,8 @@ impl Recombined {
                     // Undo the LC sequence with single-qubit photon gates so the
                     // circuit delivers |target⟩, not |transformed⟩.
                     append_lc_inverse(&mut circuit, target, lc_seq);
-                    let score =
-                        objective.score(&circuit_metrics(score_hw, &circuit).objective_figures());
+                    let score = objective
+                        .score(&circuit_metrics(&cfg.hardware, &circuit).objective_figures());
                     Ok((strategy, circuit, score))
                 },
             )
@@ -229,7 +226,7 @@ impl Recombined {
         // cancellable single-qubit pairs behind.
         epgs_circuit::optimize::cancel_inverse_pairs(&mut circuit);
         let metrics = circuit_metrics(&cfg.hardware, &circuit);
-        let objective = objective.clone();
+        let objective = *objective;
 
         shared
             .counters
@@ -408,36 +405,6 @@ fn build_affinity(
     Affinity {
         photon_group,
         group_emitters,
-    }
-}
-
-/// Appends the inverse of the LC unitary sequence to `circuit`.
-///
-/// The LC unitary at `v` on graph `H` is `(H·S†·H)_v ⊗ Π_{w∈N_H(v)} S_w`
-/// (see the stabilizer crate's property tests); with |G_k⟩ = U_k … U_1
-/// |G_0⟩, the circuit generating |G_k⟩ is extended by U_k† … U_1† applied in
-/// that order. All gates are single-qubit photon gates, the "only cost" the
-/// paper attributes to LC optimization.
-fn append_lc_inverse(circuit: &mut Circuit, original: &Graph, lc_sequence: &[usize]) {
-    if lc_sequence.is_empty() {
-        return;
-    }
-    // Rebuild the intermediate graphs G_0 … G_{k-1}.
-    let mut graphs = Vec::with_capacity(lc_sequence.len());
-    let mut cur = original.clone();
-    for &v in lc_sequence {
-        graphs.push(cur.clone());
-        ops::local_complement(&mut cur, v).expect("vertex in range");
-    }
-    // Append U_i† for i = k … 1; U† = (H·S·H) on v and S† on N_{G_{i-1}}(v).
-    for (i, &v) in lc_sequence.iter().enumerate().rev() {
-        let before = &graphs[i];
-        circuit.push(Op::H(Qubit::Photon(v)));
-        circuit.push(Op::S(Qubit::Photon(v)));
-        circuit.push(Op::H(Qubit::Photon(v)));
-        for &w in before.neighbors(v) {
-            circuit.push(Op::Sdg(Qubit::Photon(w)));
-        }
     }
 }
 

@@ -99,9 +99,9 @@ pub fn compile_subgraph(
     candidates.dedup();
     // Rank by the cheap estimate and keep the most promising half (at least
     // the three deterministic ones). The pruning weights are the solver's
-    // objective hook: emitter-minimizing objectives weight emitters and
-    // stalls evenly (the paper's ranking, preserved bit for bit);
-    // duration/loss objectives punish stalls, which serialize the timeline.
+    // objective hook: the Emitters objective weights emitters and stalls
+    // evenly (the paper's ranking, preserved bit for bit); the Duration
+    // objective punishes stalls, which serialize the timeline.
     rank_orderings_weighted(sub, &mut candidates, &pruning_weights(objective));
     candidates.truncate(orderings_budget.max(3).div_ceil(2).max(3));
 
@@ -119,17 +119,7 @@ pub fn compile_subgraph(
         .map_init(SolverWorkspace::new, |ws, i| {
             let solved = solve_with_ordering_in(ws, sub, &candidates[i], &solve_opts).ok()?;
             let (variant, metrics) = make_variant(hw, solved);
-            // Score under the objective's own platform when it names a
-            // *different* one; the configured model's metrics (just computed
-            // for the variant) serve otherwise — no second metrics pass on
-            // the default or platform()-consistent paths.
-            let figures = match objective.hardware() {
-                Some(score_hw) if score_hw != hw => {
-                    circuit_metrics(score_hw, &variant.solved.circuit).objective_figures()
-                }
-                _ => metrics.objective_figures(),
-            };
-            let score = objective.score(&figures);
+            let score = objective.score(&metrics.objective_figures());
             Some((variant, score))
         })
         .collect();
@@ -179,30 +169,18 @@ pub fn compile_subgraph(
     })
 }
 
-/// Ordering-pruning weights for an objective: even weights for
-/// emitter-minimizing objectives (the paper's ranking), stall-heavy
-/// weights when the objective actually cares about the timeline. A
-/// `Weighted` objective follows its own weights — one that puts nothing
-/// on duration or loss is emitter-minimizing in substance, so it prunes
-/// like `Emitters` rather than like `Duration`.
+/// Ordering-pruning weights for an objective: even weights when
+/// minimizing ee-CNOTs (the paper's ranking), stall-heavy weights when
+/// the objective is duration, because stalls serialize the timeline.
 fn pruning_weights(objective: &CompileObjective) -> CostWeights {
     match objective {
         CompileObjective::Emitters => CostWeights::default(),
-        CompileObjective::Duration(_) | CompileObjective::Loss(_) => {
-            CostWeights::duration_focused()
-        }
-        CompileObjective::Weighted { duration, loss, .. } => {
-            if *duration == 0.0 && *loss == 0.0 {
-                CostWeights::default()
-            } else {
-                CostWeights::duration_focused()
-            }
-        }
+        CompileObjective::Duration => CostWeights::duration_focused(),
     }
 }
 
 /// Builds a variant and hands back the metrics it was derived from, so
-/// callers scoring under the same model need not recompute them.
+/// the caller scores it without a second metrics pass.
 fn make_variant(hw: &HardwareModel, solved: Solved) -> (SubgraphVariant, CircuitMetrics) {
     let tl = timeline(hw, &solved.circuit);
     let m = circuit_metrics(hw, &solved.circuit);

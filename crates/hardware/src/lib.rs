@@ -12,9 +12,8 @@
 //!   Rydberg) plus trapped ions and cavity-coupled neutral atoms, all
 //!   enumerable via [`HardwareModel::presets`] / [`HardwareModel::by_name`].
 //! - [`loss`] — the §V.B.3 photon-loss arithmetic ([`loss_report`]).
-//! - [`objective`] — [`CompileObjective`], the hardware-aware answer to
-//!   *what* the compiler should minimize (emitter count, platform
-//!   duration, platform loss, or a weighted blend).
+//! - [`objective`] — [`CompileObjective`], *what* the compiler minimizes
+//!   under the configured platform (ee-CNOT count or duration).
 //!
 //! # Examples
 //!

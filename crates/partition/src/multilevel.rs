@@ -473,7 +473,7 @@ fn exact_weighted(wg: &WeightedGraph, num_blocks: usize, g_max: u64) -> Option<V
 /// lattice-like coarse graphs near their optimal contiguous partitions. The
 /// last block absorbs any bin-packing residue (soft capacity; the drain pass
 /// redistributes it).
-fn bfs_seed_weighted(wg: &WeightedGraph, num_blocks: usize, _g_max: u64) -> Vec<usize> {
+fn bfs_seed_weighted(wg: &WeightedGraph, num_blocks: usize) -> Vec<usize> {
     let n = wg.vertex_count();
     let total: u64 = wg.vwts.iter().sum();
     let mut assign = vec![usize::MAX; n];
@@ -590,7 +590,7 @@ fn initial_partition(
             return assign;
         }
     }
-    let mut assign = bfs_seed_weighted(wg, conn.blocks, g_max);
+    let mut assign = bfs_seed_weighted(wg, conn.blocks);
     metropolis_polish(wg, &mut assign, g_max, seed, conn);
     assign
 }
@@ -979,7 +979,7 @@ fn multilevel_impl(
     let t_net = std::time::Instant::now();
     let finest = &hierarchy.levels[0];
     let mut cut = finest.cut(&assign);
-    let mut direct = bfs_seed_weighted(finest, num_blocks, g_max as u64);
+    let mut direct = bfs_seed_weighted(finest, num_blocks);
     if finest.cut(&direct) < cut {
         refine_level(
             finest,

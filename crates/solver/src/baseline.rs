@@ -129,18 +129,26 @@ pub fn solve_baseline(
     best.ok_or_else(|| last_err.expect("no candidates attempted"))
 }
 
-/// Appends the inverse LC unitaries so the circuit yields the original
-/// target rather than the LC variant (single-qubit photon gates only).
-fn append_lc_inverse(circuit: &mut Circuit, original: &Graph, lc_sequence: &[usize]) {
+/// Appends the inverse of the LC unitary sequence to `circuit`, so a
+/// circuit generating the LC variant yields the original target.
+///
+/// The LC unitary at `v` on graph `H` is `(H·S†·H)_v ⊗ Π_{w∈N_H(v)} S_w`
+/// (see the stabilizer crate's property tests); with |G_k⟩ = U_k … U_1
+/// |G_0⟩, the circuit generating |G_k⟩ is extended by U_k† … U_1† applied in
+/// that order. All gates are single-qubit photon gates, the "only cost" the
+/// paper attributes to LC optimization.
+pub fn append_lc_inverse(circuit: &mut Circuit, original: &Graph, lc_sequence: &[usize]) {
     if lc_sequence.is_empty() {
         return;
     }
+    // Rebuild the intermediate graphs G_0 … G_{k-1}.
     let mut graphs = Vec::with_capacity(lc_sequence.len());
     let mut cur = original.clone();
     for &v in lc_sequence {
         graphs.push(cur.clone());
         ops::local_complement(&mut cur, v).expect("vertex in range");
     }
+    // Append U_i† for i = k … 1; U† = (H·S·H) on v and S† on N_{G_{i-1}}(v).
     for (i, &v) in lc_sequence.iter().enumerate().rev() {
         let before = &graphs[i];
         circuit.push(Op::H(Qubit::Photon(v)));

@@ -54,14 +54,6 @@ pub fn estimate_ordering(g: &Graph, ordering: &[usize]) -> OrderingEstimate {
     }
 }
 
-/// Ranks `orderings` by estimated cost, cheapest first (stable for ties).
-///
-/// Each ordering is estimated exactly once (`sort_by_key` would re-run the
-/// height function on every comparison).
-pub fn rank_orderings(g: &Graph, orderings: &mut [Vec<usize>]) {
-    orderings.sort_by_cached_key(|ord| estimate_ordering(g, ord).score);
-}
-
 /// Objective-dependent weights for the pruning score.
 ///
 /// The unweighted [`OrderingEstimate::score`] treats an extra emitter and
@@ -96,9 +88,7 @@ pub struct CostWeights {
 
 impl Default for CostWeights {
     /// Unit weights: with [`rank_orderings_weighted`] this reproduces the
-    /// subgraph compiler's historic `(score, emitters)` ranking — like
-    /// [`rank_orderings`] except that score ties break by emitter demand
-    /// rather than input order.
+    /// subgraph compiler's historic `(score, emitters)` ranking.
     fn default() -> Self {
         CostWeights {
             emitters: 1.0,
@@ -178,7 +168,7 @@ mod tests {
     fn rank_orders_cheapest_first() {
         let g = generators::path(6);
         let mut orderings = vec![vec![0, 2, 4, 1, 3, 5], vec![0, 1, 2, 3, 4, 5]];
-        rank_orderings(&g, &mut orderings);
+        rank_orderings_weighted(&g, &mut orderings, &CostWeights::default());
         assert_eq!(orderings[0], vec![0, 1, 2, 3, 4, 5]);
     }
 

@@ -108,10 +108,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // degrade gracefully when partitioning doesn't pay — compete under the
     // configured CompileObjective. The default, `Emitters`, is the paper's
     // lexicographic (#ee-CNOT, then T_loss, then duration) order; swap in
-    // `CompileObjective::Duration(hw)` or `::Loss(hw)` and platform timing
+    // `CompileObjective::Duration` and the configured platform's timing
     // decides instead (to compare platforms, build one pipeline per
-    // platform, as `paper_eval hardware` does). The artifact records which
-    // strategy and objective won.
+    // `config.hardware`, as `paper_eval hardware` does). The artifact
+    // records which strategy and objective won.
     let recombined = scheduled.recombine()?;
     println!(
         "recombined via {:?} under the {} objective",

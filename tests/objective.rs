@@ -1,5 +1,5 @@
-//! Hardware-aware objective layer: bit-identity of the default, platform
-//! divergence, determinism, and the loss figures flowing into reports.
+//! Objective layer: bit-identity of the default, platform divergence,
+//! determinism, and the loss figures flowing into reports.
 
 use epgs::{BatchCompiler, BatchInstance, CompileObjective, FrameworkConfig, Pipeline};
 use epgs_circuit::simulate::verify_circuit;
@@ -49,8 +49,8 @@ fn presets_select_different_strategies_on_a_default_corpus_instance() {
     let mut compiled = Vec::new();
     for hw in [HardwareModel::quantum_dot(), HardwareModel::rydberg()] {
         let config = FrameworkConfig {
-            hardware: hw.clone(),
-            objective: CompileObjective::Duration(hw),
+            hardware: hw,
+            objective: CompileObjective::Duration,
             ..default_config()
         };
         let c = Pipeline::new(config)
@@ -73,28 +73,22 @@ fn presets_select_different_strategies_on_a_default_corpus_instance() {
 #[test]
 fn objective_strategy_selection_is_deterministic() {
     let g = divergent_instance();
-    for objective in [
-        CompileObjective::Emitters,
-        CompileObjective::Duration(HardwareModel::rydberg()),
-        CompileObjective::Loss(HardwareModel::nv_center()),
-        CompileObjective::Weighted {
-            hardware: HardwareModel::quantum_dot(),
-            ee: 1.0,
-            duration: 0.5,
-            loss: 50.0,
-        },
-    ] {
-        let config = FrameworkConfig {
-            objective: objective.clone(),
-            ..default_config()
-        };
-        let pipeline = Pipeline::new(config);
-        let a = pipeline.compile(&g).unwrap();
-        let b = pipeline.compile(&g).unwrap();
-        assert_eq!(a.circuit, b.circuit, "{}", objective.kind_name());
-        assert_eq!(a.strategy, b.strategy, "{}", objective.kind_name());
-        assert_eq!(a.objective, objective);
-        assert!(verify_circuit(&a.circuit, &g).unwrap());
+    for hardware in [HardwareModel::rydberg(), HardwareModel::nv_center()] {
+        for objective in [CompileObjective::Emitters, CompileObjective::Duration] {
+            let config = FrameworkConfig {
+                hardware: hardware.clone(),
+                objective,
+                ..default_config()
+            };
+            let pipeline = Pipeline::new(config);
+            let a = pipeline.compile(&g).unwrap();
+            let b = pipeline.compile(&g).unwrap();
+            let label = format!("{} on {}", objective.kind_name(), hardware.name);
+            assert_eq!(a.circuit, b.circuit, "{label}");
+            assert_eq!(a.strategy, b.strategy, "{label}");
+            assert_eq!(a.objective, objective);
+            assert!(verify_circuit(&a.circuit, &g).unwrap());
+        }
     }
 }
 
@@ -109,7 +103,7 @@ fn duration_objective_never_recombines_slower_than_emitters() {
     // before suspecting the objective layer.
     let default = Pipeline::new(default_config());
     let fast = Pipeline::new(FrameworkConfig {
-        objective: CompileObjective::Duration(HardwareModel::quantum_dot()),
+        objective: CompileObjective::Duration,
         ..default_config()
     });
     for g in [
@@ -133,7 +127,7 @@ fn duration_objective_never_recombines_slower_than_emitters() {
 fn batch_reports_carry_hardware_objective_and_loss_figures() {
     let config = FrameworkConfig {
         hardware: HardwareModel::nv_center(),
-        objective: CompileObjective::Loss(HardwareModel::nv_center()),
+        objective: CompileObjective::Duration,
         ..default_config()
     };
     let batch = BatchCompiler::new(config);
@@ -143,12 +137,7 @@ fn batch_reports_carry_hardware_objective_and_loss_figures() {
     ]);
     assert_eq!(report.succeeded, 2);
     assert_eq!(report.hardware, "NV color center");
-    assert_eq!(report.objective, "loss");
-    assert_eq!(
-        report.objective_hardware.as_deref(),
-        Some("NV color center"),
-        "hardware-carrying objectives record their scoring platform"
-    );
+    assert_eq!(report.objective, "duration");
     for inst in &report.instances {
         let m = inst.metrics.as_ref().expect("succeeded");
         assert!(m.mean_photon_loss >= 0.0 && m.mean_photon_loss < 1.0);
@@ -157,62 +146,33 @@ fn batch_reports_carry_hardware_objective_and_loss_figures() {
     }
     let json = report.to_json();
     assert!(json.contains("\"hardware\":\"NV color center\""));
-    assert!(json.contains("\"objective\":\"loss\""));
-    assert!(json.contains("\"objective_hardware\":\"NV color center\""));
+    assert!(json.contains("\"objective\":\"duration\""));
     assert!(json.contains("\"mean_photon_loss\":"));
     assert!(json.contains("\"any_photon_loss\":"));
     assert!(json.contains("\"t_loss\":"));
-
-    // The default Emitters objective scores under the configured model
-    // and therefore records no separate scoring platform or weights.
-    let default_report = BatchCompiler::new(default_config()).run(&[BatchInstance::new(
-        "p5",
-        "path",
-        generators::path(5),
-    )]);
-    assert_eq!(default_report.objective_hardware, None);
-    assert_eq!(default_report.objective_weights, None);
-    assert!(!default_report.to_json().contains("objective_hardware"));
-
-    // Weighted runs record their weights — two weight vectors select
-    // different circuits, so they are part of the report's identity.
-    let weighted = BatchCompiler::new(FrameworkConfig {
-        objective: CompileObjective::Weighted {
-            hardware: HardwareModel::quantum_dot(),
-            ee: 2.0,
-            duration: 0.25,
-            loss: 10.0,
-        },
-        ..default_config()
-    })
-    .run(&[BatchInstance::new("p5", "path", generators::path(5))]);
-    assert_eq!(weighted.objective_weights, Some([2.0, 0.25, 10.0]));
-    assert!(weighted
-        .to_json()
-        .contains("\"objective_weights\":{\"ee\":2,\"duration\":0.25,\"loss\":10}"));
 }
 
 #[test]
 fn distinct_objectives_cache_apart_in_the_batch_engine() {
     // The artifact cache must never serve a plan selected under one
-    // objective to a run with another: objectives fingerprint apart.
-    let base = default_config();
-    let a = epgs::config_fingerprint(&base);
-    let b = epgs::config_fingerprint(&FrameworkConfig {
-        objective: CompileObjective::Duration(HardwareModel::quantum_dot()),
-        ..base.clone()
-    });
-    let c = epgs::config_fingerprint(&FrameworkConfig {
-        objective: CompileObjective::Loss(HardwareModel::quantum_dot()),
-        ..base.clone()
-    });
-    let d = epgs::config_fingerprint(&FrameworkConfig {
-        objective: CompileObjective::Duration(HardwareModel::rydberg()),
-        ..base
-    });
-    assert_ne!(a, b);
-    assert_ne!(b, c, "same hardware, different kind");
-    assert_ne!(b, d, "same kind, different hardware");
+    // objective, or on one platform, to a run with another: objective
+    // kinds and `config.hardware` both fingerprint apart.
+    let fingerprint = |hardware: HardwareModel, objective: CompileObjective| {
+        epgs::config_fingerprint(&FrameworkConfig {
+            hardware,
+            objective,
+            ..default_config()
+        })
+    };
+    let emitters_qd = fingerprint(HardwareModel::quantum_dot(), CompileObjective::Emitters);
+    let duration_qd = fingerprint(HardwareModel::quantum_dot(), CompileObjective::Duration);
+    let duration_rydberg = fingerprint(HardwareModel::rydberg(), CompileObjective::Duration);
+    assert_eq!(emitters_qd, epgs::config_fingerprint(&default_config()));
+    assert_ne!(emitters_qd, duration_qd, "same platform, different kind");
+    assert_ne!(
+        duration_qd, duration_rydberg,
+        "same kind, different platform"
+    );
 }
 
 #[test]
