@@ -3,7 +3,7 @@
 use epgs_hardware::{loss_report, HardwareModel, LossReport, ObjectiveFigures};
 
 use crate::circuit::Circuit;
-use crate::timeline::{peak_emitter_usage, timeline};
+use crate::timeline::{timeline, Timeline};
 
 /// All figures the paper's evaluation reports for one compiled circuit.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,12 +59,24 @@ impl CircuitMetrics {
 /// ```
 pub fn circuit_metrics(hw: &HardwareModel, circuit: &Circuit) -> CircuitMetrics {
     let tl = timeline(hw, circuit);
+    let (_, usage) = tl.usage_curve(circuit);
+    timed_metrics(hw, circuit, &tl, &usage)
+}
+
+/// [`circuit_metrics`] from the circuit's timeline and the counts of its
+/// usage curve ([`Timeline::usage_curve`]), for a caller that keeps both.
+pub fn timed_metrics(
+    hw: &HardwareModel,
+    circuit: &Circuit,
+    tl: &Timeline,
+    usage_counts: &[usize],
+) -> CircuitMetrics {
     let loss = loss_report(hw, &tl.emission_time, tl.duration);
     CircuitMetrics {
         ee_two_qubit_count: circuit.ee_two_qubit_count(),
         duration: tl.duration,
         t_loss: loss.mean_exposure,
-        peak_emitters: peak_emitter_usage(hw, circuit),
+        peak_emitters: usage_counts.iter().copied().max().unwrap_or(0),
         emissions: circuit.emission_count(),
         measurements: circuit.measurement_count(),
         single_qubit_gates: circuit.single_qubit_count(),

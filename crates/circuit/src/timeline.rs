@@ -108,49 +108,55 @@ pub fn timeline(hw: &HardwareModel, circuit: &Circuit) -> Timeline {
     }
 }
 
-/// The emitter-usage step curve of a circuit (paper Fig. 5): at each event
-/// time, how many emitters are *active* — between their first and last
-/// scheduled op (ASAP times).
-///
-/// Returns `(times, counts)` where `counts[k]` holds on `[times[k],
-/// times[k+1])`.
-pub fn usage_curve(hw: &HardwareModel, circuit: &Circuit) -> (Vec<f64>, Vec<usize>) {
-    let tl = timeline(hw, circuit);
-    let ops = circuit.ops();
-    let mut first: BTreeMap<usize, f64> = BTreeMap::new();
-    let mut last: BTreeMap<usize, f64> = BTreeMap::new();
-    for (i, op) in ops.iter().enumerate() {
-        for q in op.timeline_qubits() {
-            if let Qubit::Emitter(e) = q {
-                first
-                    .entry(e)
-                    .and_modify(|t| *t = t.min(tl.start[i]))
-                    .or_insert(tl.start[i]);
-                last.entry(e)
-                    .and_modify(|t| *t = t.max(tl.end[i]))
-                    .or_insert(tl.end[i]);
+impl Timeline {
+    /// The emitter-usage step curve of `circuit`, the circuit this
+    /// timeline was computed for (paper Fig. 5): at each event time, how
+    /// many emitters are *active* — between their first and last scheduled
+    /// op (ASAP times).
+    ///
+    /// Returns `(times, counts)` where `counts[k]` holds on `[times[k],
+    /// times[k+1])`.
+    pub fn usage_curve(&self, circuit: &Circuit) -> (Vec<f64>, Vec<usize>) {
+        let mut first: BTreeMap<usize, f64> = BTreeMap::new();
+        let mut last: BTreeMap<usize, f64> = BTreeMap::new();
+        for (i, op) in circuit.ops().iter().enumerate() {
+            for q in op.timeline_qubits() {
+                if let Qubit::Emitter(e) = q {
+                    first
+                        .entry(e)
+                        .and_modify(|t| *t = t.min(self.start[i]))
+                        .or_insert(self.start[i]);
+                    last.entry(e)
+                        .and_modify(|t| *t = t.max(self.end[i]))
+                        .or_insert(self.end[i]);
+                }
             }
         }
-    }
-    let mut events: Vec<(f64, isize)> = Vec::new();
-    for (&e, &s) in &first {
-        events.push((s, 1));
-        events.push((last[&e], -1));
-    }
-    events.sort_by(|a, b| a.0.total_cmp(&b.0).then(b.1.cmp(&a.1)));
-    let mut times = Vec::new();
-    let mut counts = Vec::new();
-    let mut cur: isize = 0;
-    for (t, d) in events {
-        cur += d;
-        if times.last().is_some_and(|&lt: &f64| (lt - t).abs() < 1e-12) {
-            *counts.last_mut().expect("non-empty") = cur.max(0) as usize;
-        } else {
-            times.push(t);
-            counts.push(cur.max(0) as usize);
+        let mut events: Vec<(f64, isize)> = Vec::new();
+        for (&e, &s) in &first {
+            events.push((s, 1));
+            events.push((last[&e], -1));
         }
+        events.sort_by(|a, b| a.0.total_cmp(&b.0).then(b.1.cmp(&a.1)));
+        let mut times = Vec::new();
+        let mut counts = Vec::new();
+        let mut cur: isize = 0;
+        for (t, d) in events {
+            cur += d;
+            if times.last().is_some_and(|&lt: &f64| (lt - t).abs() < 1e-12) {
+                *counts.last_mut().expect("non-empty") = cur.max(0) as usize;
+            } else {
+                times.push(t);
+                counts.push(cur.max(0) as usize);
+            }
+        }
+        (times, counts)
     }
-    (times, counts)
+}
+
+/// The emitter-usage step curve of a circuit; see [`Timeline::usage_curve`].
+pub fn usage_curve(hw: &HardwareModel, circuit: &Circuit) -> (Vec<f64>, Vec<usize>) {
+    timeline(hw, circuit).usage_curve(circuit)
 }
 
 /// Maximum number of simultaneously active emitters.

@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
 
-use epgs_circuit::{circuit_metrics, timeline, CircuitMetrics};
+use epgs_circuit::{metrics::timed_metrics, timeline, CircuitMetrics};
 use epgs_graph::Graph;
 use epgs_hardware::{CompileObjective, HardwareModel, ObjectiveScore};
 use epgs_solver::cost::{rank_orderings_weighted, CostWeights};
@@ -183,14 +183,15 @@ fn pruning_weights(objective: &CompileObjective) -> CostWeights {
 /// the caller scores it without a second metrics pass.
 fn make_variant(hw: &HardwareModel, solved: Solved) -> (SubgraphVariant, CircuitMetrics) {
     let tl = timeline(hw, &solved.circuit);
-    let m = circuit_metrics(hw, &solved.circuit);
+    let usage = tl.usage_curve(&solved.circuit);
+    let m = timed_metrics(hw, &solved.circuit, &tl, &usage.1);
     let variant = SubgraphVariant {
         emitters: solved.emitters,
         duration: tl.duration,
         ee_cnots: m.ee_two_qubit_count,
         t_loss: m.t_loss,
-        emission_times: tl.emission_time.clone(),
-        usage: epgs_circuit::usage_curve(hw, &solved.circuit),
+        emission_times: tl.emission_time,
+        usage,
         solved,
     };
     (variant, m)
