@@ -6,7 +6,9 @@
 //! search on seeded graphs (dense LC-transformed ones included), the same
 //! pair for the multilevel V-cycle above its coarsening cutoff, and
 //! `(lc_sequence, cut, FNV of block_of)` for the LC beam under the
-//! evaluation harness's partition spec on three paper-sweep targets.
+//! evaluation harness's partition spec on three paper-sweep targets and,
+//! above the ranking cutoff, on two scale_mix targets together with the
+//! number of partitioner calls the ranked beam makes.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -16,6 +18,7 @@ use rand::SeedableRng;
 
 use epgs_graph::{generators, ops, Graph};
 use epgs_partition::fm::fm_partition;
+use epgs_partition::lc_search::RANK_ABOVE;
 use epgs_partition::{
     multilevel_partition, partition_with_lc, partition_with_lc_controlled, MultilevelOptions,
     PartitionSpec, SearchControl,
@@ -304,4 +307,62 @@ fn duplicate_beam_states_are_scored_once() {
         (&[1usize][..], 1, 0x00c22296ea165d24)
     );
     assert_eq!(p, partition_with_lc(&g, &spec));
+}
+
+/// Beam width of the LC search (`lc_search::BEAM_WIDTH`).
+const BEAM_WIDTH: usize = 6;
+
+/// One pinned ranked-beam case: label, graph, and the pinned
+/// `lc_sequence`, cut, FNV of `block_of` and partitioner-call count.
+type RankedCase = (&'static str, Graph, &'static [usize], usize, u64, usize);
+
+#[test]
+fn ranked_lc_beam_is_pinned_under_the_bench_spec() {
+    // Above `RANK_ABOVE` vertices each depth partitions only its
+    // `BEAM_WIDTH` best-ranked expansions. The two scale_mix targets are
+    // built as perfbench builds them; the counting hook never injects.
+    let rr3 = generators::random_regular(100, 3, &mut StdRng::seed_from_u64(SEED ^ 100));
+    let cases: [RankedCase; 2] = [
+        (
+            "lattice-10x10",
+            generators::lattice(10, 10),
+            &[8],
+            72,
+            0x46d705b06f3b5686,
+            49,
+        ),
+        (
+            "rr3-100",
+            rr3,
+            &[47, 38, 47, 38],
+            62,
+            0xf869b548ccf56769,
+            49,
+        ),
+    ];
+    let spec = bench_spec();
+    for (label, g, seq, cut, hash, pinned_calls) in cases {
+        assert!(g.vertex_count() > RANK_ABOVE, "{label} must be ranked");
+        let calls = Arc::new(AtomicUsize::new(0));
+        let hook_calls = Arc::clone(&calls);
+        let ctrl = SearchControl {
+            deadline: None,
+            multilevel_fault: Some(Arc::new(move || {
+                hook_calls.fetch_add(1, Ordering::Relaxed);
+                None
+            })),
+        };
+        let (p, report) = partition_with_lc_controlled(&g, &spec, &ctrl);
+        assert!(!report.degraded(), "{label}");
+        let calls = calls.load(Ordering::Relaxed);
+        assert!(
+            calls <= 1 + spec.lc_budget * BEAM_WIDTH,
+            "{label}: {calls} partitioner calls"
+        );
+        assert_eq!(
+            (p.lc_sequence.as_slice(), p.cut, fnv(&p.block_of), calls),
+            (seq, cut, hash, pinned_calls),
+            "{label}"
+        );
+    }
 }
