@@ -12,10 +12,10 @@
 //! at v toggles only the pairs inside N(v), so the cut and edge count it
 //! leaves under the parent's (fixed) assignment are exact in O(deg(v)²).
 //! Each depth ranks its distinct expansions by that pair and fully scores
-//! only the first `BEAM_WIDTH` of the stable order: at most
-//! `1 + lc_budget · BEAM_WIDTH` partitioner calls per search, where scoring
-//! everything took thousands on 100–200-vertex graphs. At or below the
-//! cutoff every expansion is scored, as the paper's search does.
+//! only the first `BEAM_WIDTH` of the stable order, so a search makes at
+//! most `1 + lc_budget · BEAM_WIDTH` partitioner calls instead of one per
+//! distinct expansion. At or below the cutoff every expansion is scored,
+//! as the paper's search does.
 //!
 //! Scoring is engineered for throughput. Each depth enumerates its
 //! candidates in the sequential `(state, v)` order and scores them **in
@@ -57,7 +57,9 @@ struct State {
     seq: Vec<usize>,
     /// Cut of `assign` on `graph`.
     cut: usize,
+    /// Edge count of `graph`.
     edges: usize,
+    /// Block per vertex of `graph`, as the partitioner found it.
     assign: Vec<usize>,
 }
 

@@ -13,7 +13,8 @@
 //!   replaces the flat FM search above 48 vertices, its default coarsening
 //!   cutoff (the default [`PartitionScheme`]);
 //! * [`lc_search`] — beam search over LC sequences of length ≤ l scored by
-//!   the selected partition scheme: [`partition_with_lc`] is the crate's
+//!   the selected partition scheme (above 48 vertices, only the expansions
+//!   an exact cut delta ranks best): [`partition_with_lc`] is the crate's
 //!   front door.
 //!
 //! # Examples
