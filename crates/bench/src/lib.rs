@@ -91,7 +91,6 @@ pub fn bench_baseline() -> BaselineOptions {
         lc_depth: 3,
         seed: SEED,
         emitters: None,
-        verify: true,
     }
 }
 

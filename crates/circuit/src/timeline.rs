@@ -6,8 +6,6 @@
 //! within the same makespan, the latest legal time of every op; T_loss uses
 //! the ALAP emission times (§IV.B, §IV.C).
 
-use std::collections::BTreeMap;
-
 use epgs_hardware::HardwareModel;
 
 use crate::circuit::Circuit;
@@ -47,47 +45,59 @@ pub fn op_duration(hw: &HardwareModel, op: &Op) -> f64 {
     }
 }
 
+/// Index of `q` in a per-qubit array of `circuit`: emitters first, then
+/// photons.
+fn slot(circuit: &Circuit, q: Qubit) -> usize {
+    match q {
+        Qubit::Emitter(e) => {
+            assert!(e < circuit.num_emitters(), "emitter {e} out of range");
+            e
+        }
+        Qubit::Photon(p) => circuit.num_emitters() + p,
+    }
+}
+
 /// Computes the ASAP/ALAP timeline of a circuit.
 ///
 /// # Panics
 ///
-/// Panics if an emission references a photon index ≥ `circuit.num_photons()`
+/// Panics if an op references a qubit outside the circuit's registers
 /// (run [`Circuit::validate`] first).
 pub fn timeline(hw: &HardwareModel, circuit: &Circuit) -> Timeline {
     let ops = circuit.ops();
-    let mut ready: BTreeMap<Qubit, f64> = BTreeMap::new();
+    let qubits = circuit.num_emitters() + circuit.num_photons();
+    // Time each qubit is free from, per qubit slot.
+    let mut ready = vec![0.0; qubits];
     let mut start = vec![0.0; ops.len()];
     let mut end = vec![0.0; ops.len()];
     for (i, op) in ops.iter().enumerate() {
-        let dur = op_duration(hw, op);
-        let s = op
-            .timeline_qubits()
+        let qs = op.timeline_qubits();
+        let s = qs
             .iter()
-            .map(|q| ready.get(q).copied().unwrap_or(0.0))
+            .map(|&q| ready[slot(circuit, q)])
             .fold(0.0, f64::max);
         start[i] = s;
-        end[i] = s + dur;
-        for q in op.timeline_qubits() {
-            ready.insert(q, end[i]);
+        end[i] = s + op_duration(hw, op);
+        for &q in &qs {
+            ready[slot(circuit, q)] = end[i];
         }
     }
     let duration = end.iter().copied().fold(0.0, f64::max);
 
     // ALAP: walk backwards, each op ends as late as its successors allow.
-    let mut late: BTreeMap<Qubit, f64> = BTreeMap::new();
+    let mut late = vec![duration; qubits];
     let mut alap_start = vec![0.0; ops.len()];
     let mut alap_end = vec![0.0; ops.len()];
     for (i, op) in ops.iter().enumerate().rev() {
-        let dur = op_duration(hw, op);
-        let e = op
-            .timeline_qubits()
+        let qs = op.timeline_qubits();
+        let e = qs
             .iter()
-            .map(|q| late.get(q).copied().unwrap_or(duration))
+            .map(|&q| late[slot(circuit, q)])
             .fold(f64::INFINITY, f64::min);
         alap_end[i] = e;
-        alap_start[i] = e - dur;
-        for q in op.timeline_qubits() {
-            late.insert(q, alap_start[i]);
+        alap_start[i] = e - op_duration(hw, op);
+        for &q in &qs {
+            late[slot(circuit, q)] = alap_start[i];
         }
     }
 
@@ -117,25 +127,20 @@ impl Timeline {
     /// Returns `(times, counts)` where `counts[k]` holds on `[times[k],
     /// times[k+1])`.
     pub fn usage_curve(&self, circuit: &Circuit) -> (Vec<f64>, Vec<usize>) {
-        let mut first: BTreeMap<usize, f64> = BTreeMap::new();
-        let mut last: BTreeMap<usize, f64> = BTreeMap::new();
+        // (first start, last end) of each emitter that has an op.
+        let mut active: Vec<Option<(f64, f64)>> = vec![None; circuit.num_emitters()];
         for (i, op) in circuit.ops().iter().enumerate() {
             for q in op.timeline_qubits() {
                 if let Qubit::Emitter(e) = q {
-                    first
-                        .entry(e)
-                        .and_modify(|t| *t = t.min(self.start[i]))
-                        .or_insert(self.start[i]);
-                    last.entry(e)
-                        .and_modify(|t| *t = t.max(self.end[i]))
-                        .or_insert(self.end[i]);
+                    let (s, t) = (self.start[i], self.end[i]);
+                    active[e] = Some(active[e].map_or((s, t), |(f, l)| (f.min(s), l.max(t))));
                 }
             }
         }
         let mut events: Vec<(f64, isize)> = Vec::new();
-        for (&e, &s) in &first {
-            events.push((s, 1));
-            events.push((last[&e], -1));
+        for &(first, last) in active.iter().flatten() {
+            events.push((first, 1));
+            events.push((last, -1));
         }
         events.sort_by(|a, b| a.0.total_cmp(&b.0).then(b.1.cmp(&a.1)));
         let mut times = Vec::new();

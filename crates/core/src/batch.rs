@@ -68,24 +68,22 @@ pub fn config_fingerprint(cfg: &FrameworkConfig) -> u64 {
         hw.photon_loss_per_tau.to_bits(),
         hw.ee_fidelity.to_bits(),
     ];
-    let budget_words = match cfg.emitter_budget {
-        EmitterBudget::Factor(f) => [1u64, f.to_bits()],
-        EmitterBudget::Absolute(n) => [2u64, n as u64],
-    };
+    let EmitterBudget::Factor(f) = cfg.emitter_budget;
+    let budget_words = [1u64, f.to_bits()];
     // Objectives select different circuits, so they fingerprint apart.
     let objective_word = match cfg.objective {
         CompileObjective::Emitters => 1u64,
         CompileObjective::Duration => 2,
     };
-    // Scheme discriminant plus every multilevel knob: two configs that can
-    // partition a graph differently must key cached artifacts apart.
+    // Scheme discriminant; the multilevel scheme adds the values of the
+    // three knobs it once had, so stored artifacts keep their keys.
     let scheme_words: Vec<u64> = match &cfg.partition.scheme {
         epgs_partition::PartitionScheme::Flat => vec![1],
-        epgs_partition::PartitionScheme::Multilevel(opts) => vec![
+        epgs_partition::PartitionScheme::Multilevel(_) => vec![
             2,
-            opts.coarsen_cutoff as u64,
-            opts.matching_rounds as u64,
-            opts.refine_passes as u64,
+            epgs_partition::multilevel::COARSEN_CUTOFF as u64,
+            1, // matching rounds per level
+            6, // refine passes per level
         ],
     };
     let words = [

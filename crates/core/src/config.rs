@@ -9,17 +9,13 @@ use epgs_partition::PartitionSpec;
 pub enum EmitterBudget {
     /// A multiple of the target graph's minimal emitter count.
     Factor(f64),
-    /// An absolute emitter count.
-    Absolute(usize),
 }
 
 impl EmitterBudget {
     /// Resolves the budget against a minimal emitter count.
     pub fn resolve(self, ne_min: usize) -> usize {
-        match self {
-            EmitterBudget::Factor(f) => ((ne_min as f64 * f).ceil() as usize).max(1),
-            EmitterBudget::Absolute(n) => n.max(1),
-        }
+        let EmitterBudget::Factor(f) = self;
+        ((ne_min as f64 * f).ceil() as usize).max(1)
     }
 }
 
@@ -115,8 +111,6 @@ mod tests {
         assert_eq!(EmitterBudget::Factor(1.5).resolve(4), 6);
         assert_eq!(EmitterBudget::Factor(2.0).resolve(3), 6);
         assert_eq!(EmitterBudget::Factor(1.5).resolve(1), 2);
-        assert_eq!(EmitterBudget::Absolute(5).resolve(100), 5);
-        assert_eq!(EmitterBudget::Absolute(0).resolve(3), 1, "clamped to 1");
         assert_eq!(EmitterBudget::Factor(0.1).resolve(2), 1);
     }
 

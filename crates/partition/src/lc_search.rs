@@ -8,9 +8,10 @@
 //! them. The incumbent over all visited states — not just the deepest — is
 //! returned, so l = 0 is always a lower bound on quality.
 //!
-//! Above [`RANK_ABOVE`] vertices, not every expansion is partitioned. An LC
-//! at v toggles only the pairs inside N(v), so the cut and edge count it
-//! leaves under the parent's (fixed) assignment are exact in O(deg(v)²).
+//! Above [`COARSEN_CUTOFF`] vertices (the V-cycle's cutoff, under both
+//! schemes), not every expansion is partitioned. An LC at v toggles only
+//! the pairs inside N(v), so the cut and edge count it leaves under the
+//! parent's (fixed) assignment are exact in O(deg(v)²).
 //! Each depth ranks its distinct expansions by that pair and fully scores
 //! only the first `BEAM_WIDTH` of the stable order, so a search makes at
 //! most `1 + lc_budget · BEAM_WIDTH` partitioner calls instead of one per
@@ -39,16 +40,11 @@ use epgs_graph::{ops, Graph};
 
 use crate::control::{InjectedFault, SearchControl, SearchReport};
 use crate::fm::fm_partition;
-use crate::multilevel::multilevel_partition;
+use crate::multilevel::{multilevel_partition, COARSEN_CUTOFF};
 use crate::spec::{Partition, PartitionScheme, PartitionSpec};
 
 /// Beam width of the LC search (states kept per depth).
 const BEAM_WIDTH: usize = 6;
-
-/// Vertex count above which each depth partitions only its `BEAM_WIDTH`
-/// best-ranked expansions (see the module docs). Equal to the V-cycle's
-/// default coarsening cutoff, and applied under both schemes.
-pub const RANK_ABOVE: usize = 48;
 
 /// One beam state: an LC-transformed graph and the partition found on it.
 struct State {
@@ -160,7 +156,7 @@ pub fn partition_with_lc_controlled(
     let score = |graph: &Graph, salt: u64| -> (Vec<usize>, usize) {
         match &spec.scheme {
             PartitionScheme::Flat => flat(graph, salt),
-            PartitionScheme::Multilevel(opts) => {
+            PartitionScheme::Multilevel(_) => {
                 let injected = ctrl.multilevel_fault.as_ref().and_then(|hook| hook());
                 match injected {
                     Some(InjectedFault::Fail) => {
@@ -182,7 +178,6 @@ pub fn partition_with_lc_controlled(
                         spec.g_max,
                         spec.effort.max(2),
                         spec.seed ^ salt,
-                        opts,
                     )
                 }));
                 attempt.unwrap_or_else(|_| {
@@ -260,7 +255,7 @@ pub fn partition_with_lc_controlled(
         // keep the first BEAM_WIDTH of that stable order; at or below it,
         // keep all of them.
         let mut picked: Vec<usize> = (0..jobs.len()).collect();
-        if n > RANK_ABOVE {
+        if n > COARSEN_CUTOFF {
             picked.sort_by_cached_key(|&j| {
                 let (si, v) = jobs[j];
                 let state = &beam[si];
@@ -389,14 +384,6 @@ mod tests {
     }
 
     #[test]
-    fn ranking_cutoff_is_the_default_coarsening_cutoff() {
-        assert_eq!(
-            RANK_ABOVE,
-            crate::MultilevelOptions::default().coarsen_cutoff
-        );
-    }
-
-    #[test]
     fn lc_never_hurts() {
         let g = generators::lattice(3, 4);
         let mut spec = PartitionSpec {
@@ -512,7 +499,7 @@ mod tests {
             lc_budget: 2,
             effort: 5,
             seed: 3,
-            scheme: PartitionScheme::Multilevel(crate::MultilevelOptions::default()),
+            scheme: PartitionScheme::Multilevel(crate::MultilevelOptions),
         };
         let calls = Arc::new(AtomicUsize::new(0));
         let calls_in_hook = Arc::clone(&calls);

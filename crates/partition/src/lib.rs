@@ -10,8 +10,8 @@
 //!   the heuristics);
 //! * [`fm`] — multi-restart Fiduccia–Mattheyses-style local search;
 //! * [`multilevel`] — METIS-style coarsen/partition/uncoarsen scheme that
-//!   replaces the flat FM search above 48 vertices, its default coarsening
-//!   cutoff (the default [`PartitionScheme`]);
+//!   replaces the flat FM search above 48 vertices, its coarsening cutoff
+//!   (the default [`PartitionScheme`]);
 //! * [`lc_search`] — beam search over LC sequences of length ≤ l scored by
 //!   the selected partition scheme (above 48 vertices, only the expansions
 //!   an exact cut delta ranks best): [`partition_with_lc`] is the crate's

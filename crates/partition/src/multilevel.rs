@@ -7,11 +7,9 @@
 //!
 //! 1. **Coarsen** — deterministic seeded heavy-edge matching folds matched
 //!    vertex pairs into weighted coarse vertices (edge weights accumulate
-//!    multiplicities) until the graph fits under
-//!    [`MultilevelOptions::coarsen_cutoff`]. Each level tries
-//!    [`MultilevelOptions::matching_rounds`] seeded matchings and keeps the
-//!    one with the fewest coarse vertices (ties: first tried), so the
-//!    hierarchy is a pure function of `(graph, g_max, seed, options)`.
+//!    multiplicities) until the graph fits under [`COARSEN_CUTOFF`]. Each
+//!    level runs one seeded matching, so the hierarchy is a pure function
+//!    of `(graph, g_max, seed)`.
 //! 2. **Initial partition** — the coarse graph is tiny; a weighted
 //!    branch-and-bound (the weighted counterpart of
 //!    [`crate::exact::exact_min_cut`], same symmetry breaking) solves it
@@ -23,12 +21,10 @@
 //!    block-connectivity table (weight from each vertex to each block),
 //!    built once per level and updated in O(degree) by every accepted
 //!    move, so each gain is one lookup: a rebalance drain restores the
-//!    capacity bound, then boundary move passes propose per-vertex best
-//!    moves from the table as it stands (**in parallel** on large levels)
-//!    and apply them **sequentially in vertex-index order** (re-checking
-//!    each gain at apply time), so the result is bit-identical regardless
-//!    of thread count — the same determinism contract as
-//!    `compile_subgraph`. Swap passes break move stalls.
+//!    capacity bound, then up to `REFINE_PASSES` boundary move passes
+//!    propose per-vertex best moves from the table as it stands and apply
+//!    them **in vertex-index order** (re-checking each gain at apply
+//!    time). Swap passes break move stalls.
 //!
 //! Capacity is *soft* at coarse levels: `num_blocks = ⌈n / g_max⌉` leaves
 //! near-zero slack, and bin-packing weighted coarse vertices into that
@@ -39,17 +35,25 @@
 //! always have room, so the drain provably terminates with every block at or
 //! under `g_max` — the returned partition is strictly feasible.
 //!
-//! Graphs at or below `coarsen_cutoff` delegate to [`fm_partition`] with
+//! Graphs at or below [`COARSEN_CUTOFF`] delegate to [`fm_partition`] with
 //! identical arguments, reproducing the flat scheme byte for byte there.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 use epgs_graph::{metrics, Graph};
 
 use crate::fm::fm_partition;
 use crate::spec::MultilevelOptions;
+
+/// Graphs at or below this many vertices are not coarsened: they go to the
+/// flat FM search, which is already fast there and exactly reproduces the
+/// flat scheme's quality. The LC beam ranks its expansions above the same
+/// size (see [`crate::lc_search`]).
+pub const COARSEN_CUTOFF: usize = 48;
+
+/// Move-pass rounds per level during uncoarsening.
+const REFINE_PASSES: usize = 6;
 
 /// Coarse graphs at or below this size are solved by the weighted
 /// branch-and-bound instead of greedy + Metropolis.
@@ -63,13 +67,6 @@ const EXACT_NODE_BUDGET: usize = 200_000;
 /// near-stalled matchings (many isolated or saturated vertices) would
 /// otherwise append useless levels.
 const MIN_SHRINK: f64 = 0.05;
-
-/// Move proposals are computed through the parallel iterator only at levels
-/// with at least this many vertices: below it the per-pass dispatch costs
-/// more than the O(n · degree) gain scan itself. The sequential branch
-/// computes the identical proposal vector (the parallel map is pure and
-/// order-preserving), so results do not depend on which branch ran.
-const PAR_THRESHOLD: usize = 512;
 
 /// A weighted graph level in CSR form. Level 0 is the input graph with unit
 /// weights; deeper levels carry folded vertex weights and edge
@@ -260,24 +257,12 @@ fn heavy_edge_matching(wg: &WeightedGraph, w_cap: u64, seed: u64) -> (Vec<usize>
     (mate, pairs)
 }
 
-/// One coarsening step: the best of `rounds` seeded matchings folded into a
-/// coarse graph. Returns `(coarse, map)` where `map[v]` is the coarse id of
-/// fine vertex `v`, or `None` when no pair matched (no progress possible).
-pub fn coarsen(
-    wg: &WeightedGraph,
-    w_cap: u64,
-    rounds: usize,
-    seed: u64,
-) -> Option<(WeightedGraph, Vec<usize>)> {
+/// One coarsening step: a seeded heavy-edge matching folded into a coarse
+/// graph. Returns `(coarse, map)` where `map[v]` is the coarse id of fine
+/// vertex `v`, or `None` when no pair matched (no progress possible).
+pub fn coarsen(wg: &WeightedGraph, w_cap: u64, seed: u64) -> Option<(WeightedGraph, Vec<usize>)> {
     let n = wg.vertex_count();
-    let mut best: Option<(Vec<usize>, usize)> = None;
-    for r in 0..rounds.max(1) {
-        let (mate, pairs) = heavy_edge_matching(wg, w_cap, seed.wrapping_add(r as u64));
-        if best.as_ref().is_none_or(|(_, bp)| pairs > *bp) {
-            best = Some((mate, pairs));
-        }
-    }
-    let (mate, pairs) = best.expect("at least one matching attempt");
+    let (mate, pairs) = heavy_edge_matching(wg, w_cap, seed);
     if pairs == 0 {
         return None;
     }
@@ -366,26 +351,22 @@ pub struct Hierarchy {
 }
 
 impl Hierarchy {
-    /// Coarsens `g` until it fits under `opts.coarsen_cutoff` or stalls.
+    /// Coarsens `g` until it fits under [`COARSEN_CUTOFF`] or stalls.
     /// Vertex weights are capped at `max(2, ⌈g_max/2⌉)` — folding right up
     /// to `g_max` would make the coarse bin packing (near-zero slack by
     /// construction) infeasible without cut-damaging repairs.
-    pub fn build(g: &Graph, g_max: usize, opts: &MultilevelOptions, seed: u64) -> Hierarchy {
+    pub fn build(g: &Graph, g_max: usize, seed: u64) -> Hierarchy {
         let w_cap = (g_max as u64).div_ceil(2).max(2);
         let mut levels = vec![WeightedGraph::from_graph(g)];
         let mut maps = Vec::new();
         loop {
             let top = levels.last().expect("non-empty");
             let n = top.vertex_count();
-            if n <= opts.coarsen_cutoff {
+            if n <= COARSEN_CUTOFF {
                 break;
             }
-            let Some((coarse, map)) = coarsen(
-                top,
-                w_cap,
-                opts.matching_rounds,
-                seed ^ (levels.len() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            ) else {
+            let level_seed = seed ^ (levels.len() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let Some((coarse, map)) = coarsen(top, w_cap, level_seed) else {
                 break;
             };
             if (n - coarse.vertex_count()) as f64 <= MIN_SHRINK * n as f64 {
@@ -679,11 +660,10 @@ impl Refiner<'_> {
         }
     }
 
-    /// One deterministic move pass: per-vertex best moves are proposed (in
-    /// parallel on large levels) from the table as it stands, then applied
-    /// sequentially in vertex-index order with the gain and capacity
-    /// re-checked against the live state. Returns whether any move was
-    /// applied.
+    /// One deterministic move pass: per-vertex best moves are proposed from
+    /// the table as it stands, then applied in vertex-index order with the
+    /// gain and capacity re-checked against the live state. Returns whether
+    /// any move was applied.
     fn move_pass(&mut self) -> bool {
         let (wg, assign, conn) = (self.wg, &*self.assign, &*self.conn);
         // Most-connected other block, ties to the lower index; only blocks
@@ -704,14 +684,7 @@ impl Refiner<'_> {
             }
             best.map(|(_, b)| b)
         };
-        let proposals: Vec<Option<usize>> = if wg.vertex_count() >= PAR_THRESHOLD {
-            (0..wg.vertex_count())
-                .into_par_iter()
-                .map(propose)
-                .collect()
-        } else {
-            (0..wg.vertex_count()).map(propose).collect()
-        };
+        let proposals: Vec<Option<usize>> = (0..wg.vertex_count()).map(propose).collect();
 
         let mut moved = false;
         for (v, &target) in proposals.iter().enumerate() {
@@ -809,22 +782,21 @@ impl Refiner<'_> {
     }
 }
 
-/// Per-level refinement policy: how many move passes run, whether overflow
-/// must be drained unconditionally (`strict` — the finest level, where
-/// feasibility is owed to the caller), how many quadratic swap passes may
-/// break move stalls, and whether swap candidates extend to distance-2
-/// pairs (worth the extra scan only at coarse levels).
+/// Per-level refinement policy: whether overflow must be drained
+/// unconditionally (`strict` — the finest level, where feasibility is owed
+/// to the caller), how many quadratic swap passes may break move stalls,
+/// and whether swap candidates extend to distance-2 pairs (worth the extra
+/// scan only at coarse levels).
 #[derive(Clone, Copy)]
 struct RefinePlan {
-    passes: usize,
     strict: bool,
     swap_budget: usize,
     dist2: bool,
 }
 
-/// Refines `assign` at one level: drain, then up to `plan.passes` rounds of
-/// the move pass with a swap pass when moves stall. `conn` is all-zero on
-/// entry and on return.
+/// Refines `assign` at one level: drain, then up to [`REFINE_PASSES`]
+/// rounds of the move pass with a swap pass when moves stall. `conn` is
+/// all-zero on entry and on return.
 fn refine_level(
     wg: &WeightedGraph,
     assign: &mut [usize],
@@ -847,7 +819,7 @@ fn refine_level(
     r.drain(if plan.strict { None } else { Some(0) });
     debug_assert!(r.conn.matches(wg, r.assign), "table diverged in the drain");
     let mut swaps_left = plan.swap_budget; // the quadratic pass is a stall-breaker, not a workhorse
-    for _ in 0..plan.passes.max(1) {
+    for _ in 0..REFINE_PASSES {
         let moved = r.move_pass();
         debug_assert!(
             r.conn.matches(wg, r.assign),
@@ -883,7 +855,7 @@ pub struct LevelTrace {
 
 /// Multilevel partition. `restarts` mirrors the flat engine's knob and is
 /// forwarded verbatim when the graph is small enough to delegate to
-/// [`fm_partition`]; above the cutoff it seeds the initial-partition polish.
+/// [`fm_partition`]; above the cutoff it is unused.
 /// Returns `(block_of, cut)` with every block at or under `g_max`.
 pub fn multilevel_partition(
     g: &Graph,
@@ -891,24 +863,24 @@ pub fn multilevel_partition(
     g_max: usize,
     restarts: usize,
     seed: u64,
-    opts: &MultilevelOptions,
 ) -> (Vec<usize>, usize) {
-    multilevel_impl(g, num_blocks, g_max, restarts, seed, opts, None)
+    multilevel_impl(g, num_blocks, g_max, restarts, seed, None)
 }
 
-/// [`multilevel_partition`] with a per-level trace appended to `trace`
-/// (finest level first). Delegated (below-cutoff) runs record one level.
+/// [`multilevel_partition`] with a per-level trace (finest level first).
+/// Delegated (below-cutoff) runs record one level. `_opts` is unused:
+/// `perfbench` calls this with the scheme's payload, and the next change to
+/// the benchmark drops the parameter.
 pub fn multilevel_partition_traced(
     g: &Graph,
     num_blocks: usize,
     g_max: usize,
     restarts: usize,
     seed: u64,
-    opts: &MultilevelOptions,
+    _opts: &MultilevelOptions,
 ) -> (Vec<usize>, usize, Vec<LevelTrace>) {
     let mut trace = Vec::new();
-    let (assign, cut) =
-        multilevel_impl(g, num_blocks, g_max, restarts, seed, opts, Some(&mut trace));
+    let (assign, cut) = multilevel_impl(g, num_blocks, g_max, restarts, seed, Some(&mut trace));
     (assign, cut, trace)
 }
 
@@ -918,11 +890,10 @@ fn multilevel_impl(
     g_max: usize,
     restarts: usize,
     seed: u64,
-    opts: &MultilevelOptions,
     mut trace: Option<&mut Vec<LevelTrace>>,
 ) -> (Vec<usize>, usize) {
     let n = g.vertex_count();
-    if n <= opts.coarsen_cutoff {
+    if n <= COARSEN_CUTOFF {
         let t0 = std::time::Instant::now();
         let (assign, cut) = fm_partition(g, num_blocks, g_max, restarts, seed);
         if let Some(trace) = trace.as_deref_mut() {
@@ -935,7 +906,7 @@ fn multilevel_impl(
         return (assign, cut);
     }
 
-    let hierarchy = Hierarchy::build(g, g_max, opts, seed);
+    let hierarchy = Hierarchy::build(g, g_max, seed);
     let mut conn = BlockConn::new(n, num_blocks);
     let coarsest = hierarchy.levels.last().expect("non-empty hierarchy");
     let t0 = std::time::Instant::now();
@@ -945,7 +916,6 @@ fn multilevel_impl(
         &mut assign,
         g_max as u64,
         RefinePlan {
-            passes: opts.refine_passes,
             strict: hierarchy.maps.is_empty(),
             swap_budget: 2,
             dist2: true,
@@ -962,7 +932,6 @@ fn multilevel_impl(
             &mut assign,
             g_max as u64,
             RefinePlan {
-                passes: opts.refine_passes,
                 strict: i == 0,
                 swap_budget: if i == 0 { 1 } else { 0 },
                 dist2: i > 0,
@@ -986,7 +955,6 @@ fn multilevel_impl(
             &mut direct,
             g_max as u64,
             RefinePlan {
-                passes: opts.refine_passes,
                 strict: true,
                 swap_budget: 2,
                 dist2: false,
@@ -1032,7 +1000,6 @@ fn multilevel_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::MultilevelOptions;
     use epgs_graph::generators;
 
     fn check_valid(g: &Graph, assign: &[usize], num_blocks: usize, g_max: usize) {
@@ -1047,9 +1014,8 @@ mod tests {
 
     #[test]
     fn delegates_identically_below_cutoff() {
-        let g = generators::lattice(4, 6); // 24 ≤ default cutoff 48
-        let opts = MultilevelOptions::default();
-        let ml = multilevel_partition(&g, 4, 6, 5, 7, &opts);
+        let g = generators::lattice(4, 6); // 24 ≤ COARSEN_CUTOFF
+        let ml = multilevel_partition(&g, 4, 6, 5, 7);
         let flat = fm_partition(&g, 4, 6, 5, 7);
         assert_eq!(ml, flat);
     }
@@ -1057,8 +1023,7 @@ mod tests {
     #[test]
     fn large_path_partitions_feasibly_and_well() {
         let g = generators::path(200);
-        let opts = MultilevelOptions::default();
-        let (assign, cut) = multilevel_partition(&g, 29, 7, 4, 1, &opts);
+        let (assign, cut) = multilevel_partition(&g, 29, 7, 4, 1);
         check_valid(&g, &assign, 29, 7);
         assert_eq!(cut, metrics::cut_edges(&g, &assign));
         // A path of 200 vertices into 29 blocks needs ≥ 28 cut edges; the
@@ -1069,8 +1034,7 @@ mod tests {
     #[test]
     fn lattice_quality_close_to_flat() {
         let g = generators::lattice(6, 12); // 72 vertices
-        let opts = MultilevelOptions::default();
-        let (assign, cut) = multilevel_partition(&g, 11, 7, 4, 3, &opts);
+        let (assign, cut) = multilevel_partition(&g, 11, 7, 4, 3);
         check_valid(&g, &assign, 11, 7);
         let (_, flat_cut) = fm_partition(&g, 11, 7, 4, 3);
         assert!(
@@ -1083,17 +1047,15 @@ mod tests {
     fn deterministic_per_seed() {
         let mut rng = StdRng::seed_from_u64(5);
         let g = generators::watts_strogatz(80, 4, 0.1, &mut rng);
-        let opts = MultilevelOptions::default();
-        let a = multilevel_partition(&g, 12, 7, 4, 9, &opts);
-        let b = multilevel_partition(&g, 12, 7, 4, 9, &opts);
+        let a = multilevel_partition(&g, 12, 7, 4, 9);
+        let b = multilevel_partition(&g, 12, 7, 4, 9);
         assert_eq!(a, b);
     }
 
     #[test]
     fn hierarchy_projection_preserves_identity() {
         let g = generators::lattice(8, 10);
-        let opts = MultilevelOptions::default();
-        let h = Hierarchy::build(&g, 7, &opts, 3);
+        let h = Hierarchy::build(&g, 7, 3);
         assert!(h.levels.len() >= 2, "80 vertices must coarsen");
         for (i, map) in h.maps.iter().enumerate() {
             assert_eq!(map.len(), h.levels[i].vertex_count());
@@ -1120,8 +1082,7 @@ mod tests {
     fn weighted_cut_matches_projected_fine_cut() {
         let mut rng = StdRng::seed_from_u64(11);
         let g = generators::barabasi_albert(90, 3, &mut rng);
-        let opts = MultilevelOptions::default();
-        let h = Hierarchy::build(&g, 7, &opts, 4);
+        let h = Hierarchy::build(&g, 7, 4);
         // Any assignment of the coarsest level, projected down, must have a
         // fine edge cut equal to the coarse weighted cut.
         let top = h.levels.last().unwrap();
@@ -1139,8 +1100,7 @@ mod tests {
     #[test]
     fn traced_reports_every_level() {
         let g = generators::lattice(10, 10);
-        let opts = MultilevelOptions::default();
-        let (assign, cut, trace) = multilevel_partition_traced(&g, 15, 7, 4, 2, &opts);
+        let (assign, cut, trace) = multilevel_partition_traced(&g, 15, 7, 4, 2, &MultilevelOptions);
         check_valid(&g, &assign, 15, 7);
         assert_eq!(cut, metrics::cut_edges(&g, &assign));
         assert!(trace.len() >= 2);

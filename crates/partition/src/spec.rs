@@ -2,30 +2,11 @@
 
 use epgs_graph::{metrics, Graph};
 
-/// Knobs of the METIS-style multilevel scheme (see [`crate::multilevel`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MultilevelOptions {
-    /// Stop coarsening (and skip the scheme entirely) at or below this many
-    /// vertices: small graphs are partitioned directly by the flat FM
-    /// search, which is already fast there and exactly reproduces the flat
-    /// scheme's quality.
-    pub coarsen_cutoff: usize,
-    /// Seeded heavy-edge matchings tried per level; the one producing the
-    /// fewest coarse vertices wins (ties: first tried).
-    pub matching_rounds: usize,
-    /// Refinement iterations per level during uncoarsening.
-    pub refine_passes: usize,
-}
-
-impl Default for MultilevelOptions {
-    fn default() -> Self {
-        MultilevelOptions {
-            coarsen_cutoff: 48,
-            matching_rounds: 1,
-            refine_passes: 6,
-        }
-    }
-}
+/// Payload of [`PartitionScheme::Multilevel`], kept because `perfbench`
+/// names it. The V-cycle has no knobs: its coarsening cutoff, refine passes
+/// and one matching per level are constants of [`crate::multilevel`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct MultilevelOptions;
 
 /// Which partitioning engine scores candidate graphs (paper §IV.A solves
 /// one MIP; this crate offers two search schemes over the same model).
@@ -37,19 +18,19 @@ pub enum PartitionScheme {
     Flat,
     /// Multilevel coarsening: heavy-edge matching down to a small graph,
     /// initial partition there, FM refinement at every level on the way
-    /// back up. Graphs at or below the coarsening cutoff (48 vertices by
-    /// default) delegate to the flat engine unchanged. Above it, the LC
-    /// beam (budget 8) spends about 2.7× less time partitioning the six
-    /// scale_mix graphs (n = 82–200) than under
-    /// [`PartitionScheme::Flat`]: 0.13 s against 0.34 s on a shared
-    /// 2-vCPU Linux VM, and its compiles end at 2463 ee-CNOTs against
-    /// 2492.
+    /// back up. Graphs at or below
+    /// [`crate::multilevel::COARSEN_CUTOFF`] (48 vertices) delegate to the
+    /// flat engine unchanged. Above it, the LC beam (budget 8) spends about
+    /// 2.7× less time partitioning the six scale_mix graphs (n = 82–200)
+    /// than under [`PartitionScheme::Flat`]: 0.13 s against 0.34 s on a
+    /// shared 2-vCPU Linux VM, and its compiles end at 2463 ee-CNOTs
+    /// against 2492.
     Multilevel(MultilevelOptions),
 }
 
 impl Default for PartitionScheme {
     fn default() -> Self {
-        PartitionScheme::Multilevel(MultilevelOptions::default())
+        PartitionScheme::Multilevel(MultilevelOptions)
     }
 }
 
@@ -67,8 +48,9 @@ pub struct PartitionSpec {
     /// Maximum local complementations applied before partitioning
     /// (paper default 15; 0 disables LC optimization).
     pub lc_budget: usize,
-    /// Restarts / iteration scale of the local search (flat scheme; the
-    /// multilevel scheme's effort knobs live in [`MultilevelOptions`]).
+    /// Restarts / iteration scale of the flat FM search. The multilevel
+    /// scheme forwards it to that search at or below its coarsening cutoff
+    /// and has no effort setting above it.
     pub effort: usize,
     /// RNG seed for the randomized phases.
     pub seed: u64,

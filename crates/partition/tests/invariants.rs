@@ -14,9 +14,9 @@
 //!   of the projected assignment.
 //!
 //! A separate (non-property) pair of tests pins the multilevel determinism
-//! contract on instances large enough to engage the parallel proposal path:
-//! repeated runs are bit-identical, and `RAYON_NUM_THREADS=1` reproduces
-//! the parallel result exactly.
+//! contract on two instances of 500+ vertices: repeated runs are
+//! bit-identical, and `RAYON_NUM_THREADS=1` reproduces the default-pool
+//! result exactly (the V-cycle itself runs on the calling thread).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -24,7 +24,7 @@ use rand::SeedableRng;
 
 use epgs_graph::{generators, Graph};
 use epgs_partition::fm::fm_partition;
-use epgs_partition::{multilevel_partition, Hierarchy, MultilevelOptions};
+use epgs_partition::{multilevel_partition, Hierarchy};
 
 /// Brute-force edge recount of a cut — deliberately independent of
 /// `epgs_graph::metrics::cut_edges`, which the engines use internally.
@@ -108,9 +108,8 @@ proptest! {
         let (name, g) = family_graph(family, size_knob, seed);
         let n = g.vertex_count();
         let num_blocks = n.div_ceil(g_max);
-        let opts = MultilevelOptions::default();
 
-        let (ml_assign, ml_cut) = multilevel_partition(&g, num_blocks, g_max, 3, seed, &opts);
+        let (ml_assign, ml_cut) = multilevel_partition(&g, num_blocks, g_max, 3, seed);
         assert_valid(&format!("{name} multilevel"), &g, &ml_assign, num_blocks, g_max);
         prop_assert_eq!(
             ml_cut, recount_cut(&g, &ml_assign),
@@ -134,8 +133,7 @@ proptest! {
     ) {
         let (name, g) = family_graph(family, size_knob, seed);
         let n = g.vertex_count();
-        let opts = MultilevelOptions::default();
-        let h = Hierarchy::build(&g, 7, &opts, seed);
+        let h = Hierarchy::build(&g, 7, seed);
 
         prop_assert_eq!(h.levels[0].vertex_count(), n, "{}: level 0 must be the input", name);
         prop_assert_eq!(h.maps.len() + 1, h.levels.len(), "{}: one map per fold", name);
@@ -179,7 +177,6 @@ proptest! {
 /// Degenerate shapes must not panic in either engine.
 #[test]
 fn tiny_and_degenerate_graphs() {
-    let opts = MultilevelOptions::default();
     for g in [
         generators::path(1),
         generators::path(2),
@@ -187,7 +184,7 @@ fn tiny_and_degenerate_graphs() {
         Graph::new(3), // edgeless
     ] {
         let n = g.vertex_count();
-        let (assign, cut) = multilevel_partition(&g, n.div_ceil(3), 3, 2, 9, &opts);
+        let (assign, cut) = multilevel_partition(&g, n.div_ceil(3), 3, 2, 9);
         assert_valid("tiny multilevel", &g, &assign, n.div_ceil(3), 3);
         assert_eq!(cut, recount_cut(&g, &assign));
     }
@@ -203,8 +200,8 @@ impl Drop for SequentialModeGuard {
     }
 }
 
-/// Instances large enough to engage the parallel proposal path (the move
-/// pass dispatches through the thread pool above ~500 vertices).
+/// Instances of 500+ vertices, well above the coarsening cutoff, so the
+/// V-cycle runs several levels.
 fn large_instances() -> Vec<(&'static str, Graph)> {
     let mut rng = StdRng::seed_from_u64(0x1517);
     vec![
@@ -215,12 +212,11 @@ fn large_instances() -> Vec<(&'static str, Graph)> {
 
 #[test]
 fn multilevel_repeated_runs_are_bit_identical() {
-    let opts = MultilevelOptions::default();
     for (name, g) in large_instances() {
         let n = g.vertex_count();
-        let first = multilevel_partition(&g, n.div_ceil(7), 7, 3, 42, &opts);
+        let first = multilevel_partition(&g, n.div_ceil(7), 7, 3, 42);
         for _ in 0..2 {
-            let again = multilevel_partition(&g, n.div_ceil(7), 7, 3, 42, &opts);
+            let again = multilevel_partition(&g, n.div_ceil(7), 7, 3, 42);
             assert_eq!(first, again, "{name}: repeated run diverged");
         }
     }
@@ -228,14 +224,15 @@ fn multilevel_repeated_runs_are_bit_identical() {
 
 #[test]
 fn multilevel_sequential_mode_matches_parallel() {
-    let opts = MultilevelOptions::default();
+    // The V-cycle uses no worker pool, so the pool size must not reach its
+    // output; this guards against a parallel path coming back unordered.
     for (name, g) in large_instances() {
         let n = g.vertex_count();
-        let parallel = multilevel_partition(&g, n.div_ceil(7), 7, 3, 42, &opts);
+        let parallel = multilevel_partition(&g, n.div_ceil(7), 7, 3, 42);
         let sequential = {
             std::env::set_var("RAYON_NUM_THREADS", "1");
             let _guard = SequentialModeGuard;
-            multilevel_partition(&g, n.div_ceil(7), 7, 3, 42, &opts)
+            multilevel_partition(&g, n.div_ceil(7), 7, 3, 42)
         };
         assert_eq!(
             parallel, sequential,

@@ -7,7 +7,7 @@
 //! pair for the multilevel V-cycle above its coarsening cutoff, and
 //! `(lc_sequence, cut, FNV of block_of)` for the LC beam under the
 //! evaluation harness's partition spec on three paper-sweep targets and,
-//! above the ranking cutoff, on two scale_mix targets together with the
+//! above the same cutoff, on two scale_mix targets together with the
 //! number of partitioner calls the ranked beam makes.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -18,10 +18,10 @@ use rand::SeedableRng;
 
 use epgs_graph::{generators, ops, Graph};
 use epgs_partition::fm::fm_partition;
-use epgs_partition::lc_search::RANK_ABOVE;
+use epgs_partition::multilevel::COARSEN_CUTOFF;
 use epgs_partition::{
-    multilevel_partition, partition_with_lc, partition_with_lc_controlled, MultilevelOptions,
-    PartitionSpec, SearchControl,
+    multilevel_partition, partition_with_lc, partition_with_lc_controlled, PartitionSpec,
+    SearchControl,
 };
 
 /// Seed of the evaluation harness (`epgs_bench::SEED`).
@@ -214,8 +214,7 @@ fn multilevel_partition_is_pinned() {
             SEED ^ 2,
             (0xdb7d008e329923a1, 652),
         ),
-        // At or above 512 vertices the move pass proposes in parallel; the
-        // property suite's determinism tests use the same two graphs.
+        // The property suite's determinism tests use the same two graphs.
         (
             "path-600",
             generators::path(600),
@@ -231,12 +230,10 @@ fn multilevel_partition_is_pinned() {
             (0xec71e490d4a7c9ef, 445),
         ),
     ];
-    let opts = MultilevelOptions::default();
     for (label, g, [g_max, restarts], seed, pinned) in cases {
         let n = g.vertex_count();
-        assert!(n > opts.coarsen_cutoff, "{label} must take the V-cycle");
-        let (assign, cut) =
-            multilevel_partition(&g, n.div_ceil(g_max), g_max, restarts, seed, &opts);
+        assert!(n > COARSEN_CUTOFF, "{label} must take the V-cycle");
+        let (assign, cut) = multilevel_partition(&g, n.div_ceil(g_max), g_max, restarts, seed);
         assert_eq!((fnv(&assign), cut), pinned, "{label}");
     }
 }
@@ -318,7 +315,7 @@ type RankedCase = (&'static str, Graph, &'static [usize], usize, u64, usize);
 
 #[test]
 fn ranked_lc_beam_is_pinned_under_the_bench_spec() {
-    // Above `RANK_ABOVE` vertices each depth partitions only its
+    // Above `COARSEN_CUTOFF` vertices each depth partitions only its
     // `BEAM_WIDTH` best-ranked expansions. The two scale_mix targets are
     // built as perfbench builds them; the counting hook never injects.
     let rr3 = generators::random_regular(100, 3, &mut StdRng::seed_from_u64(SEED ^ 100));
@@ -342,7 +339,7 @@ fn ranked_lc_beam_is_pinned_under_the_bench_spec() {
     ];
     let spec = bench_spec();
     for (label, g, seq, cut, hash, pinned_calls) in cases {
-        assert!(g.vertex_count() > RANK_ABOVE, "{label} must be ranked");
+        assert!(g.vertex_count() > COARSEN_CUTOFF, "{label} must be ranked");
         let calls = Arc::new(AtomicUsize::new(0));
         let hook_calls = Arc::clone(&calls);
         let ctrl = SearchControl {

@@ -33,8 +33,6 @@ pub struct BaselineOptions {
     pub seed: u64,
     /// Emitter pool override; `None` = the height-function minimum.
     pub emitters: Option<usize>,
-    /// Verify compiled circuits against the target.
-    pub verify: bool,
 }
 
 impl Default for BaselineOptions {
@@ -44,7 +42,6 @@ impl Default for BaselineOptions {
             lc_depth: 3,
             seed: 0x5eed,
             emitters: None,
-            verify: true,
         }
     }
 }
@@ -52,7 +49,9 @@ impl Default for BaselineOptions {
 /// Compiles `target` the way the state-of-the-art baseline does:
 /// time-reversed solve at minimal emitter count over a bounded set of
 /// LC-equivalent alternate targets, choosing the best circuit by
-/// emitter-emitter CNOT count (ties broken by duration).
+/// emitter-emitter CNOT count (ties broken by duration). Every candidate,
+/// LC corrections included, is verified against `target`; one that fails is
+/// skipped.
 ///
 /// # Errors
 ///
@@ -101,9 +100,7 @@ pub fn solve_baseline(
         match solve_with_ordering(&variant, &natural, &solve_opts) {
             Ok(mut s) => {
                 append_lc_inverse(&mut s.circuit, target, &applied);
-                if options.verify
-                    && !epgs_circuit::simulate::verify_circuit(&s.circuit, target).unwrap_or(false)
-                {
+                if !epgs_circuit::simulate::verify_circuit(&s.circuit, target).unwrap_or(false) {
                     last_err = Some(SolverError::VerificationFailed);
                     continue;
                 }

@@ -4,8 +4,8 @@
 //! order (paper §II.A); the order drives the height function and therefore
 //! the emitter count, the number of time-reversed measurements, and the
 //! emitter-emitter CNOT count. This module provides the deterministic
-//! strategies plus the randomized sampler used by the baseline's restart
-//! search and the subgraph compiler's DFS seeds.
+//! strategies plus the connectivity-respecting random sampler that seeds
+//! the subgraph compiler's extra orderings.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -76,13 +76,6 @@ pub fn degree_dfs(g: &Graph) -> Vec<usize> {
     order
 }
 
-/// A uniformly random permutation.
-pub fn random<R: Rng + ?Sized>(g: &Graph, rng: &mut R) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..g.vertex_count()).collect();
-    order.shuffle(rng);
-    order
-}
-
 /// A random *connectivity-respecting* order: grows a connected front,
 /// picking the next photon uniformly among neighbors of the emitted prefix.
 /// These orders keep the height function low on sparse graphs.
@@ -137,7 +130,6 @@ mod tests {
         assert_permutation(&natural(&g), 12);
         assert_permutation(&bfs(&g), 12);
         assert_permutation(&degree_dfs(&g), 12);
-        assert_permutation(&random(&g, &mut rng), 12);
         assert_permutation(&random_connected(&g, &mut rng), 12);
     }
 

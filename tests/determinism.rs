@@ -30,10 +30,9 @@ use epgs_solver::SolverWorkspace;
 
 /// Representative instances of the three bench families (`epgs_bench`
 /// sweeps, trimmed to keep the double compile affordable). `lattice-60`
-/// sits above the multilevel coarsening cutoff (48 vertices with the
-/// default options), so the byte-identity check also covers the coarsen →
-/// initial-partition → uncoarsen path, not just the sub-cutoff delegation
-/// to the flat engine.
+/// sits above the multilevel coarsening cutoff (48 vertices), so the
+/// byte-identity check also covers the coarsen → initial-partition →
+/// uncoarsen path, not just the sub-cutoff delegation to the flat engine.
 fn family_instances() -> Vec<(String, Graph)> {
     let mut out = Vec::new();
     for k in [3usize, 7, 15] {

@@ -160,7 +160,7 @@ fn flat_scheme_qasm_matches_pinned_hashes() {
 #[test]
 fn multilevel_quality_no_worse_than_flat() {
     let flat = flat_compiles();
-    let ml = compile_all(PartitionScheme::Multilevel(MultilevelOptions::default()));
+    let ml = compile_all(PartitionScheme::Multilevel(MultilevelOptions));
     assert_eq!(flat.len(), ml.len());
     assert!(flat.len() >= 30, "sweeps + corpus must all compile");
 
@@ -205,11 +205,10 @@ fn multilevel_direct_engine_no_worse_on_large_instances() {
         ("lattice-10x50", generators::lattice(10, 50)),
     ];
     let (g_max, effort) = (7usize, 8usize);
-    let opts = MultilevelOptions::default();
     for (label, g) in instances {
         let n = g.vertex_count();
         let num_blocks = n.div_ceil(g_max);
-        let (ml_assign, ml_cut) = multilevel_partition(&g, num_blocks, g_max, effort, SEED, &opts);
+        let (ml_assign, ml_cut) = multilevel_partition(&g, num_blocks, g_max, effort, SEED);
         let (_, fm_cut) = fm_partition(&g, num_blocks, g_max, effort, SEED);
 
         assert_eq!(ml_assign.len(), n, "{label}: partial assignment");

@@ -1,7 +1,7 @@
 //! Robustness and failure-injection tests: malformed inputs, adversarial
 //! configurations, and determinism guarantees across the public API surface.
 
-use epgs::{EmitterBudget, FrameworkConfig, Pipeline};
+use epgs::{FrameworkConfig, FrameworkError, Pipeline};
 use epgs_circuit::simulate::{run, verify_circuit, ListedOutcomes};
 use epgs_graph::{generators, Graph};
 use epgs_hardware::HardwareModel;
@@ -21,29 +21,35 @@ fn framework_is_deterministic_end_to_end() {
 }
 
 #[test]
-fn absurdly_small_budget_still_produces_correct_circuits() {
-    // An Absolute(1) budget on a graph needing 4 emitters: the solver grows
-    // the pool as physics demands; the circuit stays correct.
+fn absurdly_small_budget_still_produces_correct_circuits() -> Result<(), FrameworkError> {
+    // A budget of 1 on a graph needing 4 emitters: the solver grows the
+    // pool as physics demands; the circuit stays correct.
     let g = generators::lattice(4, 4);
-    let pipeline = Pipeline::new(FrameworkConfig {
-        emitter_budget: EmitterBudget::Absolute(1),
-        ..FrameworkConfig::default()
-    });
-    let c = pipeline.compile(&g).unwrap();
+    let pipeline = Pipeline::new(FrameworkConfig::default());
+    let c = pipeline
+        .partition(&g)
+        .plan_leaves()?
+        .schedule(1)
+        .recombine()?
+        .verify()?;
     assert!(verify_circuit(&c.circuit, &g).unwrap());
+    Ok(())
 }
 
 #[test]
-fn huge_budget_does_not_bloat_the_circuit_with_idle_emitter_gates() {
+fn huge_budget_does_not_bloat_the_circuit_with_idle_emitter_gates() -> Result<(), FrameworkError> {
     let g = generators::path(6);
-    let pipeline = Pipeline::new(FrameworkConfig {
-        emitter_budget: EmitterBudget::Absolute(12),
-        ..FrameworkConfig::default()
-    });
-    let c = pipeline.compile(&g).unwrap();
+    let pipeline = Pipeline::new(FrameworkConfig::default());
+    let c = pipeline
+        .partition(&g)
+        .plan_leaves()?
+        .schedule(12)
+        .recombine()?
+        .verify()?;
     // A path needs one working emitter; idle pool wires must stay silent.
     assert_eq!(c.metrics.ee_two_qubit_count, 0);
     assert!(verify_circuit(&c.circuit, &g).unwrap());
+    Ok(())
 }
 
 #[test]
