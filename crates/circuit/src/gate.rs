@@ -50,12 +50,14 @@ pub enum Op {
 impl Op {
     /// Qubits this operation occupies on the hardware timeline. Corrections
     /// are classical frame updates and do not occupy their targets.
-    pub fn timeline_qubits(&self) -> Vec<Qubit> {
+    pub fn timeline_qubits(&self) -> OpQubits {
         match *self {
-            Op::H(q) | Op::S(q) | Op::Sdg(q) | Op::X(q) | Op::Y(q) | Op::Z(q) => vec![q],
-            Op::Cz(a, b) | Op::Cnot(a, b) => vec![Qubit::Emitter(a), Qubit::Emitter(b)],
-            Op::Emit { emitter, photon } => vec![Qubit::Emitter(emitter), Qubit::Photon(photon)],
-            Op::MeasureZ { emitter, .. } => vec![Qubit::Emitter(emitter)],
+            Op::H(q) | Op::S(q) | Op::Sdg(q) | Op::X(q) | Op::Y(q) | Op::Z(q) => OpQubits::one(q),
+            Op::Cz(a, b) | Op::Cnot(a, b) => OpQubits::two(Qubit::Emitter(a), Qubit::Emitter(b)),
+            Op::Emit { emitter, photon } => {
+                OpQubits::two(Qubit::Emitter(emitter), Qubit::Photon(photon))
+            }
+            Op::MeasureZ { emitter, .. } => OpQubits::one(Qubit::Emitter(emitter)),
         }
     }
 
@@ -73,6 +75,40 @@ impl Op {
     /// True for emitter measurements.
     pub fn is_measurement(&self) -> bool {
         matches!(self, Op::MeasureZ { .. })
+    }
+}
+
+/// The one or two qubits an [`Op`] occupies on the hardware timeline,
+/// iterated in operand order. A fixed-size value, so the timeline passes
+/// allocate nothing per op.
+#[derive(Debug, Clone, Copy)]
+pub struct OpQubits {
+    qubits: [Qubit; 2],
+    len: usize,
+}
+
+impl OpQubits {
+    fn one(q: Qubit) -> Self {
+        OpQubits {
+            qubits: [q, q],
+            len: 1,
+        }
+    }
+
+    fn two(a: Qubit, b: Qubit) -> Self {
+        OpQubits {
+            qubits: [a, b],
+            len: 2,
+        }
+    }
+}
+
+impl IntoIterator for OpQubits {
+    type Item = Qubit;
+    type IntoIter = std::iter::Take<std::array::IntoIter<Qubit, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.qubits.into_iter().take(self.len)
     }
 }
 
@@ -129,8 +165,8 @@ mod tests {
             photon: 2,
         };
         assert_eq!(
-            op.timeline_qubits(),
-            vec![Qubit::Emitter(1), Qubit::Photon(2)]
+            op.timeline_qubits().into_iter().collect::<Vec<_>>(),
+            [Qubit::Emitter(1), Qubit::Photon(2)]
         );
     }
 
@@ -140,7 +176,10 @@ mod tests {
             emitter: 0,
             corrections: vec![(Qubit::Photon(3), Pauli::Z)],
         };
-        assert_eq!(op.timeline_qubits(), vec![Qubit::Emitter(0)]);
+        assert_eq!(
+            op.timeline_qubits().into_iter().collect::<Vec<_>>(),
+            [Qubit::Emitter(0)]
+        );
         assert!(op.is_measurement());
     }
 

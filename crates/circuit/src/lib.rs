@@ -46,7 +46,7 @@ pub mod timeline;
 
 pub use circuit::Circuit;
 pub use error::CircuitError;
-pub use gate::Op;
+pub use gate::{Op, OpQubits};
 pub use metrics::{circuit_metrics, CircuitMetrics};
 pub use optimize::cancel_inverse_pairs;
 pub use qubit::Qubit;

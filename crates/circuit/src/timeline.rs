@@ -73,12 +73,12 @@ pub fn timeline(hw: &HardwareModel, circuit: &Circuit) -> Timeline {
     for (i, op) in ops.iter().enumerate() {
         let qs = op.timeline_qubits();
         let s = qs
-            .iter()
-            .map(|&q| ready[slot(circuit, q)])
+            .into_iter()
+            .map(|q| ready[slot(circuit, q)])
             .fold(0.0, f64::max);
         start[i] = s;
         end[i] = s + op_duration(hw, op);
-        for &q in &qs {
+        for q in qs {
             ready[slot(circuit, q)] = end[i];
         }
     }
@@ -91,12 +91,12 @@ pub fn timeline(hw: &HardwareModel, circuit: &Circuit) -> Timeline {
     for (i, op) in ops.iter().enumerate().rev() {
         let qs = op.timeline_qubits();
         let e = qs
-            .iter()
-            .map(|&q| late[slot(circuit, q)])
+            .into_iter()
+            .map(|q| late[slot(circuit, q)])
             .fold(f64::INFINITY, f64::min);
         alap_end[i] = e;
         alap_start[i] = e - op_duration(hw, op);
-        for &q in &qs {
+        for q in qs {
             late[slot(circuit, q)] = alap_start[i];
         }
     }

@@ -68,14 +68,22 @@ pub trait SampleUniform: Copy + PartialOrd {
 macro_rules! impl_sample_uniform_int {
     ($($t:ty),*) => {$(
         impl SampleUniform for $t {
+            // Both endpoints widen to 64 bits (sign-extending for signed
+            // types), so `high - low` taken mod 2^64 is the exact span of
+            // any range of a type at most 64 bits wide.
             fn sample_below<R: RngCore + ?Sized>(low: Self, high: Self, rng: &mut R) -> Self {
-                let span = (high as i128 - low as i128) as u128;
-                debug_assert!(span > 0, "gen_range called with an empty range");
-                low.wrapping_add((rng.next_u64() as u128 % span) as $t)
+                debug_assert!(low < high, "gen_range called with an empty range");
+                let span = (high as u64).wrapping_sub(low as u64);
+                low.wrapping_add((rng.next_u64() % span) as $t)
             }
             fn sample_inclusive<R: RngCore + ?Sized>(low: Self, high: Self, rng: &mut R) -> Self {
-                let span = (high as i128 - low as i128) as u128 + 1;
-                low.wrapping_add((rng.next_u64() as u128 % span) as $t)
+                let x = rng.next_u64();
+                // A span of 2^64 (the full 64-bit range) keeps every draw.
+                let offset = match (high as u64).wrapping_sub(low as u64).checked_add(1) {
+                    Some(span) => x % span,
+                    None => x,
+                };
+                low.wrapping_add(offset as $t)
             }
         }
     )*};
@@ -228,7 +236,7 @@ pub mod seq {
 mod tests {
     use super::rngs::StdRng;
     use super::seq::SliceRandom;
-    use super::{Rng, SeedableRng};
+    use super::{Rng, RngCore, SeedableRng};
 
     #[test]
     fn seeding_is_deterministic() {
@@ -262,6 +270,64 @@ mod tests {
             assert!((1..=3).contains(&w));
         }
         assert!(seen.iter().all(|&s| s), "all values of 0..5 appear");
+    }
+
+    /// Replays a fixed list of words, then repeats it.
+    struct Words(Vec<u64>, usize);
+
+    impl RngCore for Words {
+        fn next_u64(&mut self) -> u64 {
+            let w = self.0[self.1 % self.0.len()];
+            self.1 += 1;
+            w
+        }
+    }
+
+    #[test]
+    fn gen_range_matches_the_128_bit_formula() {
+        let mut words = vec![
+            0,
+            1,
+            2,
+            63,
+            64,
+            u64::MAX,
+            u64::MAX - 1,
+            1 << 63,
+            (1 << 63) - 1,
+        ];
+        let mut rng = StdRng::seed_from_u64(5);
+        words.extend((0..64).map(|_| rng.gen::<u64>()));
+        let count = words.len();
+        let mut src = Words(words, 0);
+        // The formulas `gen_range` used before it stayed in 64 bits.
+        macro_rules! check {
+            ($t:ty, $($lo:expr, $hi:expr);+) => {$(
+                for _ in 0..count {
+                    let (lo, hi): ($t, $t) = ($lo, $hi);
+                    let x = src.0[src.1 % count];
+                    let span = (hi as i128 - lo as i128) as u128 + 1;
+                    let want = lo.wrapping_add((x as u128 % span) as $t);
+                    assert_eq!(src.gen_range(lo..=hi), want, "{lo}..={hi}, word {x}");
+                    if lo < hi {
+                        let x = src.0[src.1 % count];
+                        let span = (hi as i128 - lo as i128) as u128;
+                        let want = lo.wrapping_add((x as u128 % span) as $t);
+                        assert_eq!(src.gen_range(lo..hi), want, "{lo}..{hi}, word {x}");
+                    }
+                }
+            )+};
+        }
+        check!(u64, 0, u64::MAX; 1, u64::MAX; 0, u64::MAX - 1; 5, 9; 0, 0);
+        check!(i64, i64::MIN, i64::MAX; i64::MIN + 1, i64::MAX; -3, 3; i64::MIN, 0; -1, -1);
+        check!(usize, 0, usize::MAX; 0, 100);
+        check!(isize, isize::MIN, isize::MAX);
+        check!(u32, 0, u32::MAX; 7, 70);
+        check!(i32, i32::MIN, i32::MAX; -5, 5);
+        check!(u8, 0, u8::MAX);
+        check!(i8, i8::MIN, i8::MAX; -128, -1);
+        check!(u16, 0, u16::MAX);
+        check!(i16, i16::MIN, 0);
     }
 
     #[test]

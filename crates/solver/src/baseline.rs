@@ -74,7 +74,8 @@ pub fn solve_baseline(
         alternates.push(seq);
     }
 
-    let mut best: Option<Solved> = None;
+    // The incumbent, with its duration once a tie-break has timed it.
+    let mut best: Option<(Solved, Option<f64>)> = None;
     let mut last_err = None;
     for lc_seq in alternates {
         let mut variant = target.clone();
@@ -104,26 +105,38 @@ pub fn solve_baseline(
                     last_err = Some(SolverError::VerificationFailed);
                     continue;
                 }
-                let better = match &best {
-                    None => true,
-                    Some(b) => {
+                // `Some(duration)` when `s` replaces the incumbent; a
+                // duration is timed only to break an ee-CNOT tie, and the
+                // incumbent's at most once.
+                let replace = match &mut best {
+                    None => Some(None),
+                    Some((b, b_duration)) => {
                         let (sc, bc) = (
                             s.circuit.ee_two_qubit_count(),
                             b.circuit.ee_two_qubit_count(),
                         );
-                        let st = epgs_circuit::timeline(hw, &s.circuit).duration;
-                        let bt = epgs_circuit::timeline(hw, &b.circuit).duration;
-                        sc < bc || (sc == bc && st < bt)
+                        if sc < bc {
+                            Some(None)
+                        } else if sc == bc {
+                            let bt = *b_duration.get_or_insert_with(|| {
+                                epgs_circuit::timeline(hw, &b.circuit).duration
+                            });
+                            let st = epgs_circuit::timeline(hw, &s.circuit).duration;
+                            (st < bt).then_some(Some(st))
+                        } else {
+                            None
+                        }
                     }
                 };
-                if better {
-                    best = Some(s);
+                if let Some(duration) = replace {
+                    best = Some((s, duration));
                 }
             }
             Err(e) => last_err = Some(e),
         }
     }
-    best.ok_or_else(|| last_err.expect("no candidates attempted"))
+    best.map(|(s, _)| s)
+        .ok_or_else(|| last_err.expect("no candidates attempted"))
 }
 
 /// Appends the inverse of the LC unitary sequence to `circuit`, so a

@@ -768,8 +768,8 @@ impl Tableau {
     }
 
     /// Allocation-reusing [`Tableau::find_element_supported_on`]: the
-    /// constraint system, RREF pivots, null-space basis, and candidate
-    /// vectors all live in `scratch`.
+    /// constraint system, RREF pivots, null-space basis, and descent letter
+    /// masks all live in `scratch`.
     pub fn find_element_supported_on_in(
         &self,
         restrict: &[usize],
@@ -917,28 +917,53 @@ impl Tableau {
                 // Vanilla mode: first valid element wins.
                 return Some(s.c.ones().collect());
             };
-            // Greedy weight reduction over the homogeneous solutions, with
-            // packed candidate combinations: candidate = c ⊕ basis row, and
-            // the weight check is a popcount-parity per allowed qubit. A
+            // Greedy weight reduction over the homogeneous solutions. The
+            // product's letter at an allowed qubit is linear in the row
+            // combination, so letters(c ⊕ b) = letters(c) ⊕ letters(b):
+            // c's X/Z letter masks over `allowed_sorted` are computed once
+            // per pattern, each basis row's once per call, and a candidate
+            // c ⊕ basis row is weighed from one XOR-OR of the masks. A
             // weight of zero cannot improve, so the descent (and the basis
             // construction) is skipped outright at the floor.
-            let mut w = self.combo_allowed_weight(&s.c, &s.allowed_sorted, weight_of);
+            self.letters_into(&s.c, &s.allowed_sorted, &mut s.c_x, &mut s.c_z);
+            let mut w = mask_weight(
+                &s.allowed_sorted,
+                s.c_x.words().iter().zip(s.c_z.words()).map(|(x, z)| x | z),
+                weight_of,
+            );
             let mut improved = w > 0 && null_dim > 0;
             while improved {
                 if !have_null {
                     s.a.null_space_from_reduced_into(&s.pivots, self.n, &mut s.null);
+                    let k = s.allowed_sorted.len();
+                    s.null_x.reset(s.null.rows(), k);
+                    s.null_z.reset(s.null.rows(), k);
+                    for v in 0..s.null.rows() {
+                        for (i, &q) in s.allowed_sorted.iter().enumerate() {
+                            s.null_x.set(v, i, s.null.row_parity_and(v, &self.xs[q]));
+                            s.null_z.set(v, i, s.null.row_parity_and(v, &self.zs[q]));
+                        }
+                    }
                     have_null = true;
                 }
                 improved = false;
                 for v in 0..s.null.rows() {
-                    s.cand.copy_from(&s.c);
-                    s.null.xor_row_into(v, &mut s.cand);
-                    if s.cand.is_zero() {
+                    // c ⊕ basis row is zero exactly when the two are equal.
+                    if s.null.row_words(v) == s.c.words() {
                         continue;
                     }
-                    let cw = self.combo_allowed_weight(&s.cand, &s.allowed_sorted, weight_of);
+                    let (nx, nz) = (s.null_x.row_words(v), s.null_z.row_words(v));
+                    let cw = mask_weight(
+                        &s.allowed_sorted,
+                        (s.c_x.words().iter().zip(nx))
+                            .zip(s.c_z.words().iter().zip(nz))
+                            .map(|((cx, nx), (cz, nz))| (cx ^ nx) | (cz ^ nz)),
+                        weight_of,
+                    );
                     if cw < w {
-                        std::mem::swap(&mut s.c, &mut s.cand);
+                        s.null.xor_row_into(v, &mut s.c);
+                        s.null_x.xor_row_into(v, &mut s.c_x);
+                        s.null_z.xor_row_into(v, &mut s.c_z);
                         w = cw;
                         improved = true;
                     }
@@ -954,22 +979,17 @@ impl Tableau {
         Some(s.best.ones().collect())
     }
 
-    /// Support weight of the row-combination `c` (a packed row mask)
-    /// restricted to `allowed` (ascending, deduplicated): the product's
-    /// letter at `q` is non-trivial iff an odd number of taken rows has an X
-    /// (resp. Z) there, which is one word-parallel [`BitVec::parity_and`]
-    /// per component.
-    fn combo_allowed_weight(
-        &self,
-        c: &BitVec,
-        allowed: &[usize],
-        weight_of: &impl Fn(usize) -> usize,
-    ) -> usize {
-        allowed
-            .iter()
-            .filter(|&&q| self.xs[q].parity_and(c) || self.zs[q].parity_and(c))
-            .map(|&q| weight_of(q))
-            .sum()
+    /// Writes the X and Z letter masks of the row-combination `c` (a packed
+    /// row mask) over `allowed` (ascending, deduplicated): bit `i` of `x`
+    /// (resp. `z`) is set iff an odd number of taken rows has an X (resp.
+    /// Z) at `allowed[i]`, one word-parallel [`BitVec::parity_and`] each.
+    fn letters_into(&self, c: &BitVec, allowed: &[usize], x: &mut BitVec, z: &mut BitVec) {
+        x.reset(allowed.len());
+        z.reset(allowed.len());
+        for (i, &q) in allowed.iter().enumerate() {
+            x.set(i, self.xs[q].parity_and(c));
+            z.set(i, self.zs[q].parity_and(c));
+        }
     }
 
     /// Multiplies the listed rows into the first of them, making that row the
@@ -1059,6 +1079,23 @@ impl Tableau {
     }
 }
 
+/// Sum of `weight_of(allowed[i])` over the set bits `i` of a letter mask
+/// given word by word, in ascending `i`.
+fn mask_weight(
+    allowed: &[usize],
+    mask: impl Iterator<Item = u64>,
+    weight_of: &impl Fn(usize) -> usize,
+) -> usize {
+    let mut total = 0;
+    for (k, mut m) in mask.enumerate() {
+        while m != 0 {
+            total += weight_of(allowed[k * 64 + m.trailing_zeros() as usize]);
+            m &= m - 1;
+        }
+    }
+    total
+}
+
 /// Reusable scratch storage for the tableau's linear-algebra queries
 /// ([`Tableau::find_element_weighted_in`],
 /// [`Tableau::deterministic_z_sign_in`] and friends).
@@ -1079,8 +1116,13 @@ pub struct ElementScratch {
     pivots: Vec<usize>,
     /// Current solution / row combination.
     c: BitVec,
-    /// Greedy-descent candidate.
-    cand: BitVec,
+    /// X / Z letter masks of `c` over `allowed_sorted`.
+    c_x: BitVec,
+    c_z: BitVec,
+    /// X / Z letter masks of each null-space basis row over
+    /// `allowed_sorted`.
+    null_x: BitMatrix,
+    null_z: BitMatrix,
     /// Best combination across target patterns.
     best: BitVec,
     /// Packed product accumulators (sign computation).
@@ -1108,7 +1150,10 @@ impl ElementScratch {
             null: BitMatrix::zeros(0, 0),
             pivots: Vec::new(),
             c: BitVec::zeros(0),
-            cand: BitVec::zeros(0),
+            c_x: BitVec::zeros(0),
+            c_z: BitVec::zeros(0),
+            null_x: BitMatrix::zeros(0, 0),
+            null_z: BitMatrix::zeros(0, 0),
             best: BitVec::zeros(0),
             acc_x: BitVec::zeros(0),
             acc_z: BitVec::zeros(0),
