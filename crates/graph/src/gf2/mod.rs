@@ -576,12 +576,12 @@ impl BitMatrix {
     /// the Four-Russians blocked elimination
     /// ([`BitMatrix::rref_within_blocked_into`]), and the remaining
     /// ≤ 64-row, > 128-column systems take the word loop
-    /// ([`BitMatrix::rref_within_wordloop_into`]). All three run in real
-    /// compiles: compiling the `scale_mix` benchmark graphs once makes
-    /// 20,349 small, 9,845 Four-Russians and 576 word-loop calls; the
-    /// `paper_sweep` graphs make 21,728 / 1,786 / 0. All three paths perform
-    /// the same elementary row operations and produce bit-identical reduced
-    /// matrices and pivot lists.
+    /// ([`BitMatrix::rref_within_wordloop_into`]). One single-threaded
+    /// compile of the `scale_mix` benchmark graphs makes 13,572 small,
+    /// 1,863 Four-Russians and 0 word-loop calls; the `paper_sweep` graphs
+    /// make 12,086 / 170 / 0. All three paths perform the same elementary
+    /// row operations and produce bit-identical reduced matrices and pivot
+    /// lists.
     pub fn rref_within_into(&mut self, lead_cols: usize, pivots: &mut Vec<usize>) {
         assert!(lead_cols <= self.cols, "lead_cols out of range");
         pivots.clear();
@@ -590,7 +590,7 @@ impl BitMatrix {
         } else if self.rows > 64 {
             // Four-Russians earns its code: sending these systems to the
             // word loop instead leaves output unchanged but drops
-            // `scale_mix` throughput from 0.88 to 0.79 compiles/s (medians
+            // `scale_mix` throughput from 27.5 to 25.1 compiles/s (medians
             // of 5 alternating 12 s runs, 2-vCPU x86-64 Xeon; the blocked
             // path won all 5 pairs).
             self.rref_within_blocked_into(lead_cols, pivots);

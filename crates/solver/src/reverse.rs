@@ -407,11 +407,12 @@ impl<'g> ReverseSolver<'g> {
     /// allowed-wire list and weights learn about it too.
     ///
     /// A fixed pool holding this emitter from the start gives the same
-    /// solve: an idle |0⟩ emitter only adds a zero column or an isolated
-    /// singleton pivot to each constraint system (reduced row echelon
-    /// forms are unique, and its null vector only adds weight), and it is
-    /// the last emitter of its weight tier, so it is picked exactly when
-    /// every other emitter is busy — here.
+    /// solve: an idle |0⟩ emitter's generator is its isolated `+Z` row, so
+    /// in each element search it is either a zero column (emitter allowed;
+    /// its null vector only adds weight) or, through that singleton row,
+    /// substituted out of the system altogether (emitter forbidden), and
+    /// it is the last emitter of its weight tier, so it is picked exactly
+    /// when every other emitter is busy — here.
     fn grow_pool(&mut self, j: usize) -> Option<usize> {
         if self.pool == self.max_pool {
             return None;

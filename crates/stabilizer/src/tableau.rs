@@ -865,67 +865,116 @@ impl Tableau {
         s.forbidden.clear();
         s.forbidden
             .extend((0..self.n).filter(|&q| q != target && (s.in_restrict[q] || !s.in_allowed[q])));
-        // Build the constraint matrix. Each constraint row is a stored X/Z
-        // column of the tableau, so assembly is pure word copies:
-        // rows ≤ 2·|forbidden| + 2 (target pattern), cols = n generators —
-        // augmented with the three (x, z) target patterns as extra columns
-        // so ONE elimination serves every pattern solve and the null space,
-        // instead of the four independent RREFs the scalar engine ran.
-        // All-zero constraint rows (qubits nobody touches in that component)
-        // are skipped outright: they can never pivot, never change, and
-        // never carry a rhs bit, so dropping them leaves the reduction — and
-        // every solution read from it — bit-identical while shrinking each
-        // elimination scan.
-        s.a.reset(2 * s.forbidden.len() + 2, self.n + 3);
-        let mut base = 0;
+        // Each constraint row is a stored X/Z column of the tableau, over the
+        // n generators. Classify the forbidden rows first:
+        // - an all-zero row (a qubit nobody touches in that component) can
+        //   never pivot, change or carry a rhs bit, so it is skipped;
+        // - a row with one set bit, at generator g, forces c_g = 0 (the
+        //   isolated +Z row an absorbed photon leaves is one), so it is
+        //   substituted out: the row is dropped and column g is removed
+        //   from every other row.
+        // The reduced row echelon form is unique and its row pivoting at a
+        // killed g is exactly e_g, so the compacted system's RREF is the full
+        // one without those rows and columns: pivots, the free-variables-zero
+        // solutions and the null-space basis (free columns and their order)
+        // all map back through `keep` unchanged.
+        s.killed.reset(self.n);
+        s.dense.clear();
         for &q in &s.forbidden {
-            if !self.xs[q].is_zero() {
-                s.a.copy_row_from(base, &self.xs[q]);
-                base += 1;
+            for (col, is_z) in [(&self.xs[q], false), (&self.zs[q], true)] {
+                let mut ones = col.ones();
+                match (ones.next(), ones.next()) {
+                    (None, _) => {}
+                    (Some(g), None) => s.killed.set(g, true),
+                    _ => s.dense.push((q, is_z)),
+                }
             }
-            if !self.zs[q].is_zero() {
-                s.a.copy_row_from(base, &self.zs[q]);
+        }
+        s.keep.clear();
+        s.rank.resize(self.n, 0);
+        for g in 0..self.n {
+            if !s.killed.get(g) {
+                s.rank[g] = s.keep.len();
+                s.keep.push(g);
+            }
+        }
+        let m = s.keep.len();
+        // Gather the surviving rows over the kept generators, augmented with
+        // the three (x, z) target patterns as extra columns so ONE
+        // elimination serves every pattern solve and the null space. A row
+        // the substitution empties is skipped like an all-zero one; the two
+        // target rows are always kept, since they carry the rhs bits.
+        s.a.reset(s.dense.len() + 2, m + 3);
+        let mut base = 0;
+        for &(q, is_z) in &s.dense {
+            let col = if is_z { &self.zs[q] } else { &self.xs[q] };
+            gather_kept(col, &s.killed, &s.rank, s.a.row_words_mut(base));
+            if !s.a.row_is_zero(base) {
                 base += 1;
             }
         }
         s.a.truncate_rows(base + 2);
-        s.a.copy_row_from(base, &self.xs[target]);
-        s.a.copy_row_from(base + 1, &self.zs[target]);
+        for (i, col) in [&self.xs[target], &self.zs[target]].into_iter().enumerate() {
+            gather_kept(col, &s.killed, &s.rank, s.a.row_words_mut(base + i));
+        }
         // Pattern rhs columns: (x, z) = (1,0), (0,1), (1,1).
-        s.a.set(base, self.n, true);
-        s.a.set(base + 1, self.n + 1, true);
-        s.a.set(base, self.n + 2, true);
-        s.a.set(base + 1, self.n + 2, true);
-        s.a.rref_within_into(self.n, &mut s.pivots);
+        s.a.set(base, m, true);
+        s.a.set(base + 1, m + 1, true);
+        s.a.set(base, m + 2, true);
+        s.a.set(base + 1, m + 2, true);
+        s.a.rref_within_into(m, &mut s.pivots);
         // The null space is shared by every pattern; its dimension is known
         // from the pivot count, so the basis is materialized only when a
         // greedy descent can actually use it.
-        let null_dim = self.n - s.pivots.len();
+        let null_dim = m - s.pivots.len();
+        let mut have_letters = false;
         let mut have_null = false;
         let mut best_w: Option<usize> = None;
         for pattern in 0..3 {
             if !s
                 .a
-                .solution_from_reduced_into(&s.pivots, self.n, pattern, &mut s.c)
+                .solution_from_reduced_into(&s.pivots, m, pattern, &mut s.c)
             {
                 continue;
             }
-            if s.c.is_zero() {
-                continue;
-            }
+            debug_assert!(
+                !s.c.is_zero(),
+                "c solves A·c = b for a pattern b ≠ 0, so c ≠ 0"
+            );
             let Some(weight_of) = &weight_of else {
                 // Vanilla mode: first valid element wins.
-                return Some(s.c.ones().collect());
+                return Some(s.c.ones().map(|i| s.keep[i]).collect());
             };
             // Greedy weight reduction over the homogeneous solutions. The
             // product's letter at an allowed qubit is linear in the row
             // combination, so letters(c ⊕ b) = letters(c) ⊕ letters(b):
-            // c's X/Z letter masks over `allowed_sorted` are computed once
-            // per pattern, each basis row's once per call, and a candidate
-            // c ⊕ basis row is weighed from one XOR-OR of the masks. A
-            // weight of zero cannot improve, so the descent (and the basis
-            // construction) is skipped outright at the floor.
-            self.letters_into(&s.c, &s.allowed_sorted, &mut s.c_x, &mut s.c_z);
+            // each kept generator's X/Z letters over `allowed_sorted` are
+            // gathered once per call, c's letter masks are the XOR of its
+            // generators' (once per pattern), each basis row's likewise
+            // (once per call), and a candidate c ⊕ basis row is weighed from
+            // one XOR-OR of the masks. A weight of zero cannot improve, so
+            // the descent (and the basis construction) is skipped outright
+            // at the floor.
+            let k = s.allowed_sorted.len();
+            if !have_letters {
+                s.gen_x.reset(m, k);
+                s.gen_z.reset(m, k);
+                for (i, &q) in s.allowed_sorted.iter().enumerate() {
+                    for g in kept_ones(&self.xs[q], &s.killed) {
+                        s.gen_x.set(s.rank[g], i, true);
+                    }
+                    for g in kept_ones(&self.zs[q], &s.killed) {
+                        s.gen_z.set(s.rank[g], i, true);
+                    }
+                }
+                have_letters = true;
+            }
+            s.c_x.reset(k);
+            s.c_z.reset(k);
+            for g in s.c.ones() {
+                s.gen_x.xor_row_into(g, &mut s.c_x);
+                s.gen_z.xor_row_into(g, &mut s.c_z);
+            }
             let mut w = mask_weight(
                 &s.allowed_sorted,
                 s.c_x.words().iter().zip(s.c_z.words()).map(|(x, z)| x | z),
@@ -934,24 +983,22 @@ impl Tableau {
             let mut improved = w > 0 && null_dim > 0;
             while improved {
                 if !have_null {
-                    s.a.null_space_from_reduced_into(&s.pivots, self.n, &mut s.null);
-                    let k = s.allowed_sorted.len();
+                    s.a.null_space_from_reduced_into(&s.pivots, m, &mut s.null);
                     s.null_x.reset(s.null.rows(), k);
                     s.null_z.reset(s.null.rows(), k);
                     for v in 0..s.null.rows() {
-                        for (i, &q) in s.allowed_sorted.iter().enumerate() {
-                            s.null_x.set(v, i, s.null.row_parity_and(v, &self.xs[q]));
-                            s.null_z.set(v, i, s.null.row_parity_and(v, &self.zs[q]));
+                        for g in s.null.row_ones(v) {
+                            xor_words(s.null_x.row_words_mut(v), s.gen_x.row_words(g));
+                            xor_words(s.null_z.row_words_mut(v), s.gen_z.row_words(g));
                         }
                     }
                     have_null = true;
                 }
                 improved = false;
                 for v in 0..s.null.rows() {
-                    // c ⊕ basis row is zero exactly when the two are equal.
-                    if s.null.row_words(v) == s.c.words() {
-                        continue;
-                    }
+                    // c solves A·c = b ≠ 0 and every basis row solves
+                    // A·v = 0, so no candidate c ⊕ basis row is zero.
+                    debug_assert_ne!(s.null.row_words(v), s.c.words());
                     let (nx, nz) = (s.null_x.row_words(v), s.null_z.row_words(v));
                     let cw = mask_weight(
                         &s.allowed_sorted,
@@ -976,20 +1023,7 @@ impl Tableau {
             }
         }
         best_w?;
-        Some(s.best.ones().collect())
-    }
-
-    /// Writes the X and Z letter masks of the row-combination `c` (a packed
-    /// row mask) over `allowed` (ascending, deduplicated): bit `i` of `x`
-    /// (resp. `z`) is set iff an odd number of taken rows has an X (resp.
-    /// Z) at `allowed[i]`, one word-parallel [`BitVec::parity_and`] each.
-    fn letters_into(&self, c: &BitVec, allowed: &[usize], x: &mut BitVec, z: &mut BitVec) {
-        x.reset(allowed.len());
-        z.reset(allowed.len());
-        for (i, &q) in allowed.iter().enumerate() {
-            x.set(i, self.xs[q].parity_and(c));
-            z.set(i, self.zs[q].parity_and(c));
-        }
+        Some(s.best.ones().map(|i| s.keep[i]).collect())
     }
 
     /// Multiplies the listed rows into the first of them, making that row the
@@ -1096,6 +1130,38 @@ fn mask_weight(
     total
 }
 
+/// `dst ^= src`, word by word.
+fn xor_words(dst: &mut [u64], src: &[u64]) {
+    for (d, &x) in dst.iter_mut().zip(src) {
+        *d ^= x;
+    }
+}
+
+/// Set bits of the constraint row `col` at generators outside `killed`,
+/// ascending.
+fn kept_ones<'a>(col: &'a BitVec, killed: &'a BitVec) -> impl Iterator<Item = usize> + 'a {
+    let words = col.words().iter().zip(killed.words());
+    words.enumerate().flat_map(|(k, (&w, &kill))| {
+        let mut bits = w & !kill;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let g = k * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                g
+            })
+        })
+    })
+}
+
+/// ORs the constraint row `col`, restricted to the generators outside
+/// `killed`, into `dst` over the compacted columns: generator `g` lands at
+/// bit `rank[g]`.
+fn gather_kept(col: &BitVec, killed: &BitVec, rank: &[usize], dst: &mut [u64]) {
+    for g in kept_ones(col, killed) {
+        dst[rank[g] / 64] |= 1u64 << (rank[g] % 64);
+    }
+}
+
 /// Reusable scratch storage for the tableau's linear-algebra queries
 /// ([`Tableau::find_element_weighted_in`],
 /// [`Tableau::deterministic_z_sign_in`] and friends).
@@ -1108,13 +1174,16 @@ fn mask_weight(
 /// system, pivot list, and null-space basis per call.
 #[derive(Debug, Clone)]
 pub struct ElementScratch {
-    /// Constraint system (also the augmented solve matrix).
+    /// Constraint system (also the augmented solve matrix). For the
+    /// element search its leading columns are the kept generators
+    /// (`keep`), not all of them.
     a: BitMatrix,
     /// Null-space basis of `a`'s leading block.
     null: BitMatrix,
     /// RREF pivot columns.
     pivots: Vec<usize>,
-    /// Current solution / row combination.
+    /// Current solution / row combination (over the kept generators in the
+    /// element search).
     c: BitVec,
     /// X / Z letter masks of `c` over `allowed_sorted`.
     c_x: BitVec,
@@ -1123,8 +1192,21 @@ pub struct ElementScratch {
     /// `allowed_sorted`.
     null_x: BitMatrix,
     null_z: BitMatrix,
-    /// Best combination across target patterns.
+    /// X / Z letter masks of each kept generator over `allowed_sorted`.
+    gen_x: BitMatrix,
+    gen_z: BitMatrix,
+    /// Best combination across target patterns, over the kept generators.
     best: BitVec,
+    /// Generators a singleton constraint row forces out of the combination.
+    killed: BitVec,
+    /// The generators outside `killed`, ascending: compacted column `i` is
+    /// generator `keep[i]`.
+    keep: Vec<usize>,
+    /// Inverse of `keep`: `rank[keep[i]] == i` (other entries are stale).
+    rank: Vec<usize>,
+    /// Forbidden constraint rows with two or more set bits, as
+    /// `(qubit, is_z)`.
+    dense: Vec<(usize, bool)>,
     /// Packed product accumulators (sign computation).
     acc_x: BitVec,
     acc_z: BitVec,
@@ -1154,7 +1236,13 @@ impl ElementScratch {
             c_z: BitVec::zeros(0),
             null_x: BitMatrix::zeros(0, 0),
             null_z: BitMatrix::zeros(0, 0),
+            gen_x: BitMatrix::zeros(0, 0),
+            gen_z: BitMatrix::zeros(0, 0),
             best: BitVec::zeros(0),
+            killed: BitVec::zeros(0),
+            keep: Vec::new(),
+            rank: Vec::new(),
+            dense: Vec::new(),
             acc_x: BitVec::zeros(0),
             acc_z: BitVec::zeros(0),
             gather_x: BitMatrix::zeros(0, 0),

@@ -1,26 +1,27 @@
-//! The per-candidate reference of the weighted element search.
+//! The per-candidate, full-width reference of the element search.
 //!
-//! This is the greedy descent of `Tableau::find_element_weighted_in` as it
-//! was before the descent cached letter masks: every candidate combination
+//! This is the search of `Tableau::find_element_weighted_in` as it was
+//! before the descent cached letter masks and before singleton constraint
+//! rows were substituted out: the constraint system keeps every non-zero
+//! forbidden row over all `n` generators, and every candidate combination
 //! `c ⊕ null_v` is materialized and weighed with two
-//! [`BitVec::parity_and`] calls per allowed qubit. It builds the same
-//! constraint system through the tableau's public column views, allocates
-//! freshly on every call, and is kept as the oracle the cached descent must
-//! match row for row.
+//! [`BitVec::parity_and`] calls per allowed qubit. It builds the system
+//! through the tableau's public column views, allocates freshly on every
+//! call, and is kept as the oracle the compacted search must match row for
+//! row.
 
 use epgs_graph::gf2::{BitMatrix, BitVec};
 use epgs_stabilizer::Tableau;
 
-/// The rows to multiply for a stabilizer touching `target` and no other
-/// qubit of `restrict`, supported outside `restrict` only on `allowed`,
-/// with (locally) minimal `weight_of` support on `allowed`.
-pub fn find_element_weighted(
+/// The full-width constraint system of a query, reduced over its `n`
+/// generator columns with the three target patterns as trailing rhs
+/// columns: `(reduced matrix, pivots, allowed qubits ascending)`.
+fn reduced_system(
     t: &Tableau,
     restrict: &[usize],
     target: usize,
     allowed: &[usize],
-    weight_of: impl Fn(usize) -> usize,
-) -> Option<Vec<usize>> {
+) -> (BitMatrix, Vec<usize>, Vec<usize>) {
     let n = t.num_qubits();
     let mut in_restrict = vec![false; n];
     for &q in restrict {
@@ -59,6 +60,37 @@ pub fn find_element_weighted(
     a.set(base + 1, n + 2, true);
     let mut pivots = Vec::new();
     a.rref_within_into(n, &mut pivots);
+    (a, pivots, allowed_sorted)
+}
+
+/// The rows of the first valid element (patterns in order, free variables
+/// zero), with no weight optimization.
+pub fn find_element_any(
+    t: &Tableau,
+    restrict: &[usize],
+    target: usize,
+    allowed: &[usize],
+) -> Option<Vec<usize>> {
+    let n = t.num_qubits();
+    let (a, pivots, _) = reduced_system(t, restrict, target, allowed);
+    (0..3).find_map(|pattern| {
+        let c = a.solution_from_reduced(&pivots, n, pattern)?;
+        (!c.is_zero()).then(|| c.ones().collect())
+    })
+}
+
+/// The rows to multiply for a stabilizer touching `target` and no other
+/// qubit of `restrict`, supported outside `restrict` only on `allowed`,
+/// with (locally) minimal `weight_of` support on `allowed`.
+pub fn find_element_weighted(
+    t: &Tableau,
+    restrict: &[usize],
+    target: usize,
+    allowed: &[usize],
+    weight_of: impl Fn(usize) -> usize,
+) -> Option<Vec<usize>> {
+    let n = t.num_qubits();
+    let (a, pivots, allowed_sorted) = reduced_system(t, restrict, target, allowed);
     let null_dim = n - pivots.len();
     let weight = |c: &BitVec| -> usize {
         allowed_sorted
