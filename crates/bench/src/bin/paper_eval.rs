@@ -364,7 +364,6 @@ fn ablation() -> Result<(), String> {
             &natural,
             &SolveOptions {
                 vanilla_elements: true,
-                verify: false,
                 ..Default::default()
             },
         )
@@ -567,10 +566,7 @@ fn hardware() -> Result<(), String> {
 /// solvers. Returns `(orderings tried, best #ee-CNOT)`.
 fn exhaustive(g: &Graph) -> (usize, usize) {
     let n = g.vertex_count();
-    let opts = SolveOptions {
-        verify: false,
-        ..SolveOptions::default()
-    };
+    let opts = SolveOptions::default();
     let mut ws = SolverWorkspace::new();
     let mut best = usize::MAX;
     let mut tried = 0usize;

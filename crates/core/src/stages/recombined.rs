@@ -191,7 +191,6 @@ impl Recombined {
                     let opts = SolveOptions {
                         emitters: Some(candidate_pool),
                         max_pool_growth: 8,
-                        verify: false,
                         affinity: aff,
                         ..SolveOptions::default()
                     };

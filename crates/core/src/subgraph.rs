@@ -110,10 +110,7 @@ pub fn compile_subgraph(
     // is the lowest (score, candidate index) — ties break toward the
     // earlier candidate, exactly like the sequential strict-less loop — so
     // the parallel search is bit-identical to the sequential one.
-    let solve_opts = SolveOptions {
-        verify: false, // the framework verifies the final global circuit
-        ..SolveOptions::default()
-    };
+    let solve_opts = SolveOptions::default();
     let evaluated: Vec<Option<(SubgraphVariant, ObjectiveScore)>> = (0..candidates.len())
         .into_par_iter()
         .map_init(SolverWorkspace::new, |ws, i| {
@@ -154,7 +151,6 @@ pub fn compile_subgraph(
         .map_init(SolverWorkspace::new, |ws, extra| {
             let opts = SolveOptions {
                 emitters: Some(base_emitters + extra),
-                verify: false,
                 ..SolveOptions::default()
             };
             solve_with_ordering_in(ws, sub, chosen_ordering, &opts)
@@ -282,6 +278,7 @@ mod tests {
         .unwrap();
         let natural =
             solve_with_ordering(&sub, &ordering::natural(&sub), &SolveOptions::default()).unwrap();
+        assert!(epgs_circuit::simulate::verify_circuit(&natural.circuit, &sub).unwrap());
         assert!(plan.variants[0].ee_cnots <= natural.circuit.ee_two_qubit_count());
     }
 

@@ -16,10 +16,11 @@
 //!
 //! All sizes in this workspace are at most a few hundred, so no sparse
 //! representation is warranted. Bulk word loops (XOR/OR/popcount/inner
-//! product) live in [`kernels`], one straight-line loop each; reductions
-//! beyond the 64-row transposed kernel go through a Four-Russians blocked
-//! elimination ([`BitMatrix::rref_within_blocked_into`]) that is
-//! bit-identical to the word-loop path it replaces.
+//! product) live in the private `kernels` module, one straight-line loop
+//! each; reductions beyond the 64-row transposed kernel go through a
+//! Four-Russians blocked elimination
+//! ([`BitMatrix::rref_within_blocked_into`]) that is bit-identical to the
+//! word-loop path it replaces.
 //!
 //! # Examples
 //!
@@ -33,7 +34,7 @@
 //! assert_eq!(m.rank(), 2);
 //! ```
 
-pub mod kernels;
+mod kernels;
 
 /// Iterator over the indices of set bits in a run of 64-bit words, produced
 /// by [`BitVec::ones`] and [`BitMatrix::row_ones`].
@@ -489,17 +490,6 @@ impl BitMatrix {
         &mut self.data[r * w..(r + 1) * w]
     }
 
-    /// Parity of the AND of row `r` with `v`: the GF(2) inner product
-    /// `popcount(row_r & v) mod 2`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != self.cols()`.
-    pub fn row_parity_and(&self, r: usize, v: &BitVec) -> bool {
-        assert_eq!(v.len(), self.cols, "bit-vector length must match cols");
-        kernels::parity_and_words(self.row_words(r), v.words())
-    }
-
     /// Iterates the column indices of set bits in row `r`, in increasing
     /// order (word-at-a-time via `trailing_zeros`).
     ///
@@ -577,9 +567,9 @@ impl BitMatrix {
     /// ([`BitMatrix::rref_within_blocked_into`]), and the remaining
     /// ≤ 64-row, > 128-column systems take the word loop
     /// ([`BitMatrix::rref_within_wordloop_into`]). One single-threaded
-    /// compile of the `scale_mix` benchmark graphs makes 13,572 small,
-    /// 1,863 Four-Russians and 0 word-loop calls; the `paper_sweep` graphs
-    /// make 12,086 / 170 / 0. All three paths perform the same elementary
+    /// compile of the `scale_mix` benchmark graphs makes 12,405 small,
+    /// 809 Four-Russians and 0 word-loop calls; the `paper_sweep` graphs
+    /// make 10,452 / 0 / 0. All three paths perform the same elementary
     /// row operations and produce bit-identical reduced matrices and pivot
     /// lists.
     pub fn rref_within_into(&mut self, lead_cols: usize, pivots: &mut Vec<usize>) {
@@ -588,11 +578,12 @@ impl BitMatrix {
         if self.rows <= 64 && self.cols <= 128 {
             self.rref_small(lead_cols, pivots);
         } else if self.rows > 64 {
-            // Four-Russians earns its code: sending these systems to the
-            // word loop instead leaves output unchanged but drops
-            // `scale_mix` throughput from 27.5 to 25.1 compiles/s (medians
-            // of 5 alternating 12 s runs, 2-vCPU x86-64 Xeon; the blocked
-            // path won all 5 pairs).
+            // Four-Russians barely earns its code now: sending these
+            // systems to the word loop instead leaves output unchanged and
+            // moves `scale_mix` throughput from 38.7 to 38.5 compiles/s
+            // (medians of 10 alternating 12 s runs, 2-vCPU x86-64 Xeon; the
+            // blocked path won 8 of 10 pairs by a median 1.3%, inside the
+            // runs' 36–40/s spread).
             self.rref_within_blocked_into(lead_cols, pivots);
         } else {
             self.rref_within_wordloop_into(lead_cols, pivots);
@@ -915,7 +906,7 @@ impl BitMatrix {
 
     /// Null-space basis of the leading `lead_cols`-column block of a matrix
     /// already reduced by [`BitMatrix::rref_within`], as the rows of a
-    /// matrix — the same basis (and order) [`BitMatrix::null_space_matrix`]
+    /// matrix — the same basis (and order) [`BitMatrix::null_space`]
     /// computes from scratch.
     pub fn null_space_from_reduced(&self, pivots: &[usize], lead_cols: usize) -> BitMatrix {
         let mut basis = BitMatrix::zeros(0, 0);
@@ -986,42 +977,6 @@ impl BitMatrix {
             x[col] = aug.get(row, self.cols);
         }
         Some(x)
-    }
-
-    /// Solves `A x = b` over GF(2) like [`BitMatrix::solve`], but with packed
-    /// inputs and outputs (free variables zero). Produces exactly the same
-    /// solution as `solve` on the equivalent `&[bool]` input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != self.rows()`.
-    pub fn solve_vec(&self, b: &BitVec) -> Option<BitVec> {
-        assert_eq!(b.len(), self.rows, "rhs length must match row count");
-        let mut aug = BitMatrix::zeros(self.rows, self.cols + 1);
-        for r in 0..self.rows {
-            for w in 0..self.words_per_row {
-                aug.data[r * aug.words_per_row + w] = self.data[r * self.words_per_row + w];
-            }
-            aug.set(r, self.cols, b.get(r));
-        }
-        let pivots = aug.rref();
-        if pivots.last() == Some(&self.cols) {
-            return None;
-        }
-        let mut x = BitVec::zeros(self.cols);
-        for (row, &col) in pivots.iter().enumerate() {
-            x.set(col, aug.get(row, self.cols));
-        }
-        Some(x)
-    }
-
-    /// Returns a basis of the null space as the rows of a matrix, in the same
-    /// order as [`BitMatrix::null_space`] (one row per free column, ascending).
-    /// The row count is `cols - rank`.
-    pub fn null_space_matrix(&self) -> BitMatrix {
-        let mut m = self.clone();
-        let pivots = m.rref();
-        m.null_space_from_reduced(&pivots, self.cols)
     }
 
     /// Returns a basis of the null space (kernel) of the matrix, each element
@@ -1323,43 +1278,6 @@ mod tests {
         acc.set(3, true);
         m.xor_row_into(0, &mut acc);
         assert_eq!(acc.ones().collect::<Vec<_>>(), vec![99]);
-    }
-
-    #[test]
-    fn solve_vec_matches_solve() {
-        let a = BitMatrix::from_rows(vec![
-            vec![true, false, true],
-            vec![false, true, false],
-            vec![true, true, true],
-        ]);
-        let mut b = BitVec::zeros(3);
-        b.set(0, true);
-        b.set(1, true);
-        let x = a.solve_vec(&b).expect("consistent");
-        let x_bools = a.solve(&[true, true, false]).expect("consistent");
-        for (i, &bit) in x_bools.iter().enumerate() {
-            assert_eq!(x.get(i), bit);
-        }
-        let bad = BitMatrix::from_rows(vec![vec![true], vec![true]]);
-        let mut rhs = BitVec::zeros(2);
-        rhs.set(1, true);
-        assert!(bad.solve_vec(&rhs).is_none());
-    }
-
-    #[test]
-    fn null_space_matrix_matches_null_space() {
-        let a = BitMatrix::from_rows(vec![
-            vec![true, true, false, true],
-            vec![false, true, true, true],
-        ]);
-        let basis = a.null_space();
-        let m = a.null_space_matrix();
-        assert_eq!(m.rows(), basis.len());
-        for (i, v) in basis.iter().enumerate() {
-            for (c, &bit) in v.iter().enumerate() {
-                assert_eq!(m.get(i, c), bit, "basis vector {i} bit {c}");
-            }
-        }
     }
 
     #[test]

@@ -2,17 +2,16 @@
 //!
 //! `BitMatrix` reduces through three RREF paths — the transposed
 //! `rref_small` kernel, the Four-Russians blocked elimination, and the
-//! straight-line word loop — and the 64×64 bit-transpose has a naive
-//! per-bit twin. This suite drives each fast path against its oracle over
-//! adversarial shapes — exact word boundaries (63/64/65/127/128/129),
-//! all-zero and full-rank matrices, rank-deficient systems, and random
-//! instances via the proptest shim — and requires bit-for-bit agreement:
-//! same reduced matrices, same pivot lists, same solutions and null-space
-//! bases, same transposed tiles.
+//! straight-line word loop. This suite drives each fast path against the
+//! word loop over adversarial shapes — exact word boundaries
+//! (63/64/65/127/128/129), all-zero and full-rank matrices, rank-deficient
+//! systems, and random instances via the proptest shim — and requires
+//! bit-for-bit agreement: same reduced matrices, same pivot lists, same
+//! solutions and null-space bases.
 
 use proptest::prelude::*;
 
-use epgs_graph::gf2::{kernels, BitMatrix};
+use epgs_graph::gf2::BitMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -105,7 +104,7 @@ fn rref_blocked_matches_wordloop_on_adversarial_shapes() {
         }
         assert_rref_paths_agree(&deficient, cols, &format!("deficient {rows}x{cols}"));
         // Sparse random with carried RHS columns (lead < cols), the shape
-        // `find_element_impl` and `deterministic_z_sign` actually build.
+        // the tableau's element search actually builds.
         let lead = cols - (cols / 8).min(3);
         let sparse = random_matrix(rows, cols, 1, &mut rng);
         assert_rref_paths_agree(&sparse, lead, &format!("sparse {rows}x{cols} lead {lead}"));
@@ -167,28 +166,6 @@ fn rref_small_matches_wordloop_below_cutoff() {
     }
 }
 
-#[test]
-fn transpose_tile_round_trips_column_major_data() {
-    // Simulates the bit-sliced gather: column-major words in, row-major rows
-    // out, and a second transpose restores the original exactly.
-    let mut rng = StdRng::seed_from_u64(0x7117);
-    let mut tile = [0u64; 64];
-    for w in tile.iter_mut() {
-        *w = rng.gen::<u64>();
-    }
-    let original = tile;
-    let naive = kernels::transpose_64x64_naive(&tile);
-    kernels::transpose_64x64(&mut tile);
-    assert_eq!(tile, naive);
-    for (r, &row) in naive.iter().enumerate() {
-        for (c, &col) in original.iter().enumerate() {
-            assert_eq!((row >> c) & 1, (col >> r) & 1, "bit ({r},{c})");
-        }
-    }
-    kernels::transpose_64x64(&mut tile);
-    assert_eq!(tile, original);
-}
-
 proptest! {
     #[test]
     fn random_rref_paths_agree(
@@ -208,19 +185,5 @@ proptest! {
         via_wordloop.rref_within_wordloop_into(cols, &mut piv_w);
         prop_assert_eq!(piv_b, piv_w);
         prop_assert_eq!(via_blocked, via_wordloop);
-    }
-
-    #[test]
-    fn random_transpose_involution(seed in any::<u64>()) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut tile = [0u64; 64];
-        for w in tile.iter_mut() {
-            *w = rng.gen::<u64>();
-        }
-        let original = tile;
-        kernels::transpose_64x64(&mut tile);
-        prop_assert_eq!(tile, kernels::transpose_64x64_naive(&original));
-        kernels::transpose_64x64(&mut tile);
-        prop_assert_eq!(tile, original);
     }
 }

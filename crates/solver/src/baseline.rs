@@ -93,7 +93,6 @@ pub fn solve_baseline(
             emitters: options
                 .emitters
                 .map(|req| req.max(epgs_graph::height::min_emitters(&variant, &natural).max(1))),
-            verify: false, // verified below, after LC corrections are appended
             vanilla_elements: true,
             max_pool_growth: 6,
             ..SolveOptions::default()

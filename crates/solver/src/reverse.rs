@@ -26,10 +26,11 @@
 //! larger pool.
 //!
 //! Reversing the recorded operation list and inverting each op yields the
-//! forward circuit, which is verified against the target by the tableau
-//! simulator in tests and (optionally) by [`SolveOptions::verify`].
+//! forward circuit. The solver does not verify it: callers check it against
+//! the target with `epgs_circuit::simulate::verify_circuit` (the framework
+//! verifies the final global circuit, and every solver test its own).
 
-use epgs_circuit::{simulate, Circuit, Op, Qubit};
+use epgs_circuit::{Circuit, Op, Qubit};
 use epgs_graph::gf2::BitVec;
 use epgs_graph::{height, Graph};
 use epgs_stabilizer::{to_graph_form, ElementScratch, LocalGate, RotGate, Tableau};
@@ -170,9 +171,6 @@ pub struct SolveOptions {
     /// [`Solved::emitters`] whenever the affinity names only emitters of
     /// the starting pool (an added emitter is then the last one tried).
     pub max_pool_growth: usize,
-    /// Verify the compiled circuit with the stabilizer simulator before
-    /// returning (cheap at benchmark sizes; indispensable in tests).
-    pub verify: bool,
     /// Optional scheduler-provided emitter affinity.
     pub affinity: Option<Affinity>,
     /// Use the vanilla Li-et-al. generator selection (first valid element,
@@ -186,7 +184,6 @@ impl Default for SolveOptions {
         SolveOptions {
             emitters: None,
             max_pool_growth: 3,
-            verify: true,
             affinity: None,
             vanilla_elements: false,
         }
@@ -213,9 +210,7 @@ pub struct Solved {
 /// * [`SolverError::InvalidOrdering`] if `ordering` is not a permutation;
 /// * [`SolverError::InsufficientEmitters`] if the pool, with
 ///   `max_pool_growth` emitters added one at a time as it runs out, cannot
-///   host the ordering;
-/// * [`SolverError::VerificationFailed`] if the paranoid self-check fails
-///   (a bug, not an input condition).
+///   host the ordering.
 pub fn solve_with_ordering(
     target: &Graph,
     ordering: &[usize],
@@ -268,13 +263,6 @@ pub fn solve_with_ordering_in(
         options.vanilla_elements,
     )
     .run()?;
-    if options.verify {
-        let ok = simulate::verify_circuit(&circuit, target)
-            .map_err(|_| SolverError::VerificationFailed)?;
-        if !ok {
-            return Err(SolverError::VerificationFailed);
-        }
-    }
     Ok(Solved {
         emitters: circuit.num_emitters(),
         circuit,
@@ -685,9 +673,7 @@ impl<'g> ReverseSolver<'g> {
         self.ws.entangled.clear();
         for e in 0..self.pool {
             let wire = self.emitter_wire(e);
-            // Free ⟺ no generator has an X on the wire (for a pure state
-            // `deterministic_z_sign` is `Some` exactly then) — one packed
-            // column test instead of a GF(2) solve whose sign is unused.
+            // Free ⟺ no generator has an X on the wire.
             let free = self.ws.t.col_x(wire).is_zero();
             if free {
                 let _ = self.isolate_free_wire_row(wire);
@@ -756,18 +742,11 @@ impl<'g> ReverseSolver<'g> {
             let w = self.ws.entangled_wires[k];
             self.apply(RevOp::H(w));
         }
-        // Sign fixes: every entangled wire must end at +Z.
-        for k in 0..self.ws.entangled_wires.len() {
-            let w = self.ws.entangled_wires[k];
-            let sign = {
-                let ws = &mut *self.ws;
-                ws.t.deterministic_z_sign_in(w, &mut ws.element)
-                    .expect("emitter is disentangled")
-            };
-            if sign {
-                self.apply(RevOp::X(w));
-            }
-        }
+        // No sign fix is needed: the residual rows touch no other wire and
+        // no other row touches the entangled wires, so these gates act on
+        // the full tableau exactly as on `sub`. `to_graph_form`'s Z gates
+        // leave `+|G⟩`, the CZs map it to `+|+…+⟩` and the Hadamards to
+        // `+|0…0⟩`, signs included, which `run` asserts.
     }
 
     fn run(mut self) -> Result<Circuit, SolverError> {
@@ -820,10 +799,19 @@ impl<'g> ReverseSolver<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use epgs_circuit::simulate::verify_circuit;
     use epgs_graph::generators;
 
+    /// Solves `g` under `ordering` and checks the circuit regenerates it.
+    fn solve_verified(g: &Graph, ordering: &[usize], options: &SolveOptions) -> Solved {
+        let s = solve_with_ordering(g, ordering, options).expect("solve must succeed");
+        assert!(verify_circuit(&s.circuit, g).unwrap(), "{ordering:?}");
+        s
+    }
+
     fn solve_ok(g: &Graph) -> Solved {
-        solve(g, &SolveOptions::default()).expect("solve must succeed")
+        let natural: Vec<usize> = (0..g.vertex_count()).collect();
+        solve_verified(g, &natural, &SolveOptions::default())
     }
 
     #[test]
@@ -904,10 +892,8 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(99);
-        for trial in 0..15 {
-            let g = generators::erdos_renyi(8, 0.35, &mut rng);
-            let s = solve(&g, &SolveOptions::default());
-            assert!(s.is_ok(), "trial {trial}: {s:?}");
+        for _ in 0..15 {
+            solve_ok(&generators::erdos_renyi(8, 0.35, &mut rng));
         }
     }
 
@@ -915,7 +901,7 @@ mod tests {
     fn custom_ordering_is_respected() {
         let g = generators::path(5);
         let ordering = vec![4, 3, 2, 1, 0];
-        let s = solve_with_ordering(&g, &ordering, &SolveOptions::default()).unwrap();
+        let s = solve_verified(&g, &ordering, &SolveOptions::default());
         assert_eq!(s.ordering, ordering);
     }
 
@@ -939,7 +925,7 @@ mod tests {
             emitters: Some(3),
             ..SolveOptions::default()
         };
-        let s = solve(&g, &opts).unwrap();
+        let s = solve_verified(&g, &[0, 1, 2, 3, 4, 5], &opts);
         assert_eq!(s.emitters, 3);
         assert_eq!(s.circuit.num_emitters(), 3);
     }
@@ -948,7 +934,7 @@ mod tests {
     fn bad_ordering_needs_more_emitters() {
         // Interleaved path ordering raises the height function.
         let g = generators::path(6);
-        let s = solve_with_ordering(&g, &[0, 2, 4, 1, 3, 5], &SolveOptions::default()).unwrap();
+        let s = solve_verified(&g, &[0, 2, 4, 1, 3, 5], &SolveOptions::default());
         assert!(s.emitters > 1);
     }
 
@@ -956,8 +942,7 @@ mod tests {
     fn measurements_appear_for_emitter_reuse() {
         // A long path with an interleaved ordering forces TRMs.
         let g = generators::path(8);
-        let s =
-            solve_with_ordering(&g, &[0, 2, 4, 6, 1, 3, 5, 7], &SolveOptions::default()).unwrap();
+        let s = solve_verified(&g, &[0, 2, 4, 6, 1, 3, 5, 7], &SolveOptions::default());
         assert!(s.circuit.measurement_count() > 0);
     }
 }

@@ -28,10 +28,10 @@ fn affinity_respects_groups_on_disjoint_components() {
     let opts = SolveOptions {
         emitters: Some(2),
         affinity: Some(affinity),
-        verify: true,
         ..SolveOptions::default()
     };
     let solved = solve_with_ordering(&g, &ordering, &opts).expect("solves with affinity");
+    assert!(verify_circuit(&solved.circuit, &g).unwrap());
     // Each component needs one emitter; with affinity the interleaved order
     // must not couple the two emitters.
     assert_eq!(solved.circuit.ee_two_qubit_count(), 0);
@@ -54,10 +54,10 @@ fn affinity_is_only_a_preference_not_a_constraint() {
     };
     let opts = SolveOptions {
         affinity: Some(affinity),
-        verify: true,
         ..SolveOptions::default()
     };
-    assert!(solve_with_ordering(&g, &[0, 1, 2, 3, 4, 5], &opts).is_ok());
+    let solved = solve_with_ordering(&g, &[0, 1, 2, 3, 4, 5], &opts).unwrap();
+    assert!(verify_circuit(&solved.circuit, &g).unwrap());
 }
 
 #[test]
@@ -74,6 +74,8 @@ fn affinity_with_empty_groups_behaves_like_none() {
     )
     .unwrap();
     let without = solve_with_ordering(&g, &ordering, &SolveOptions::default()).unwrap();
+    assert!(verify_circuit(&with.circuit, &g).unwrap());
+    assert!(verify_circuit(&without.circuit, &g).unwrap());
     assert_eq!(
         with.circuit.ee_two_qubit_count(),
         without.circuit.ee_two_qubit_count()

@@ -12,6 +12,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use epgs_circuit::simulate::verify_circuit;
 use epgs_graph::{generators, height, Graph};
 use epgs_solver::reverse::{solve_with_ordering, Affinity, SolveOptions};
 use epgs_solver::SolverError;
@@ -57,7 +58,6 @@ fn options(n: usize, mode: Mode, pool: usize, growth: usize) -> SolveOptions {
     SolveOptions {
         emitters: Some(pool),
         max_pool_growth: growth,
-        verify: true,
         affinity,
         vanilla_elements: matches!(mode, Mode::Vanilla),
     }
@@ -76,6 +76,10 @@ fn pool_growth_equals_a_fixed_pool_of_the_reported_size() {
                         let grow = solve_with_ordering(&g, &ord, &options(n, mode, base, k));
                         match grow {
                             Ok(s) => {
+                                assert!(
+                                    verify_circuit(&s.circuit, &g).unwrap(),
+                                    "{mode:?} base {base} k {k} {ord:?}"
+                                );
                                 // The affinity stays the one built for the
                                 // starting pool: growth adds emitters, it
                                 // does not re-plan the reservation.

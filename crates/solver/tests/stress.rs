@@ -6,9 +6,16 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use epgs_circuit::simulate::verify_circuit;
 use epgs_graph::{generators, height, Graph};
-use epgs_solver::reverse::{solve, solve_with_ordering, SolveOptions};
+use epgs_solver::reverse::{solve, solve_with_ordering, SolveOptions, Solved};
 use epgs_solver::{ordering, solve_baseline, BaselineOptions};
+
+/// Whether `solved`'s circuit regenerates `g`: the simulator runs it over
+/// both constant outcome branches and pseudorandom patterns.
+fn verifies(g: &Graph, solved: &Solved) -> bool {
+    verify_circuit(&solved.circuit, g).unwrap_or(false)
+}
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
     (2usize..=10).prop_flat_map(|n| {
@@ -33,12 +40,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Any random graph compiles to a circuit that regenerates it exactly.
-    /// `SolveOptions::verify` (on by default) runs the simulator over both
-    /// constant outcome branches and pseudorandom patterns.
     #[test]
     fn every_random_graph_compiles_and_verifies(g in arb_graph()) {
         let solved = solve(&g, &SolveOptions::default());
         prop_assert!(solved.is_ok(), "{:?} on {:?}", solved.err(), g);
+        prop_assert!(verifies(&g, &solved.unwrap()), "{:?}", g);
     }
 
     /// The emitter pool never falls below the height-function bound, and the
@@ -47,6 +53,7 @@ proptest! {
     fn pool_respects_height_lower_bound(g in arb_graph()) {
         let ordering: Vec<usize> = (0..g.vertex_count()).collect();
         let solved = solve_with_ordering(&g, &ordering, &SolveOptions::default()).unwrap();
+        prop_assert!(verifies(&g, &solved));
         prop_assert!(solved.emitters >= height::min_emitters(&g, &ordering).max(1));
     }
 
@@ -54,7 +61,8 @@ proptest! {
     #[test]
     fn reversed_ordering_compiles(g in arb_graph()) {
         let ordering: Vec<usize> = (0..g.vertex_count()).rev().collect();
-        prop_assert!(solve_with_ordering(&g, &ordering, &SolveOptions::default()).is_ok());
+        let solved = solve_with_ordering(&g, &ordering, &SolveOptions::default());
+        prop_assert!(solved.is_ok_and(|s| verifies(&g, &s)));
     }
 
     /// Every emission appears exactly once per photon and the emission count
@@ -62,6 +70,7 @@ proptest! {
     #[test]
     fn one_emission_per_photon(g in arb_graph()) {
         let solved = solve(&g, &SolveOptions::default()).unwrap();
+        prop_assert!(verifies(&g, &solved));
         prop_assert_eq!(solved.circuit.emission_count(), g.vertex_count());
         prop_assert!(solved.circuit.validate().is_ok());
     }
@@ -85,6 +94,7 @@ fn benchmark_families_compile_at_benchmark_sizes() {
     for (name, g) in cases {
         let solved = solve(&g, &SolveOptions::default());
         assert!(solved.is_ok(), "{name}: {:?}", solved.err());
+        assert!(verifies(&g, &solved.unwrap()), "{name}");
     }
 }
 
@@ -97,7 +107,8 @@ fn baseline_and_connected_orderings_verify_on_waxman() {
         let s = solve_baseline(&g, &hw, &BaselineOptions::default());
         assert!(s.is_ok(), "trial {trial}");
         let ord = ordering::random_connected(&g, &mut rng);
-        assert!(solve_with_ordering(&g, &ord, &SolveOptions::default()).is_ok());
+        let solved = solve_with_ordering(&g, &ord, &SolveOptions::default());
+        assert!(solved.is_ok_and(|s| verifies(&g, &s)), "trial {trial}");
     }
 }
 
@@ -107,14 +118,15 @@ fn connected_ordering_never_needs_more_emitters_than_natural_on_lattice() {
     // lattices; the solver should exploit that.
     let g = generators::lattice(4, 4);
     let natural = solve(&g, &SolveOptions::default()).unwrap();
+    assert!(verifies(&g, &natural));
     let mut rng = StdRng::seed_from_u64(41);
     // Not a per-sample theorem: take the best of a few connected orders.
     let best = (0..5)
         .map(|_| {
             let ord = ordering::random_connected(&g, &mut rng);
-            solve_with_ordering(&g, &ord, &SolveOptions::default())
-                .unwrap()
-                .emitters
+            let solved = solve_with_ordering(&g, &ord, &SolveOptions::default()).unwrap();
+            assert!(verifies(&g, &solved), "{ord:?}");
+            solved.emitters
         })
         .min()
         .unwrap();
@@ -126,6 +138,7 @@ fn disconnected_graph_compiles() {
     // Two disjoint edges plus an isolated vertex.
     let g = Graph::from_edges(5, [(0, 1), (2, 3)]).unwrap();
     let solved = solve(&g, &SolveOptions::default()).unwrap();
+    assert!(verifies(&g, &solved));
     assert_eq!(solved.circuit.emission_count(), 5);
 }
 
@@ -133,6 +146,7 @@ fn disconnected_graph_compiles() {
 fn empty_graph_compiles() {
     let g = Graph::new(4);
     let solved = solve(&g, &SolveOptions::default()).unwrap();
+    assert!(verifies(&g, &solved));
     assert_eq!(solved.circuit.ee_two_qubit_count(), 0);
 }
 
@@ -143,6 +157,7 @@ fn paper_fig1_example_compiles_with_one_emitter_after_lc() {
     // emitter; the unoptimized one (Fig. 1c) uses two.
     let g = Graph::from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap();
     let two_emitter = solve(&g, &SolveOptions::default()).unwrap();
+    assert!(verifies(&g, &two_emitter));
     assert!(two_emitter.emitters >= 2);
     // An LC-equivalent presentation reduces the requirement: LC at 0 then 3
     // turns C4 into a path-like structure of height 1… verify the compiler
@@ -150,6 +165,7 @@ fn paper_fig1_example_compiles_with_one_emitter_after_lc() {
     let mut best = two_emitter.emitters;
     for ord in [vec![0, 1, 3, 2], vec![1, 0, 2, 3], vec![0, 2, 3, 1]] {
         if let Ok(s) = solve_with_ordering(&g, &ord, &SolveOptions::default()) {
+            assert!(verifies(&g, &s), "{ord:?}");
             best = best.min(s.emitters);
         }
     }

@@ -31,7 +31,7 @@
 //! forced-outcome Z measurement (the compiler chooses the branch it encodes
 //! corrections for; verification exercises both branches).
 
-use epgs_graph::gf2::{kernels, BitMatrix, BitVec};
+use epgs_graph::gf2::{BitMatrix, BitVec};
 use epgs_graph::Graph;
 
 use crate::error::StabilizerError;
@@ -403,10 +403,6 @@ impl Tableau {
         // The loop below is fully branchless — src bits are extracted as
         // 0/1 words and XORed in shifted, the reordering parity accumulates
         // in bit 0 of `swaps` — which holds the class at ≥ 2× the reference.
-        // (A transpose-tile batch path was measured and rejected for the
-        // single-row case: one row is O(n) to extract either way, and the
-        // tile only pays when many rows share a band — that is what
-        // `gather_rows_batch` is for.)
         let (dw, db) = (dst / 64, (dst % 64) as u32);
         let (sw, sb) = (src / 64, (src % 64) as u32);
         let mut swaps = 0u64;
@@ -587,115 +583,35 @@ impl Tableau {
         }
     }
 
-    /// Gathers the letters of every row in `rows` into the rows of `gx` /
-    /// `gz`, packed over *qubits* (the transpose direction of the column
-    /// store), in increasing row order.
-    ///
-    /// Extracting one row from the bit-sliced store costs a strided bit-read
-    /// per column no matter what; extracting a *set* of rows does not: each
-    /// 64-row band of each 64-column group is loaded once into a 64×64 tile,
-    /// bit-transposed in registers
-    /// ([`epgs_graph::gf2::kernels::transpose_64x64`]), and the wanted rows
-    /// are then whole words of the transposed tile. For the ~n/2-row
-    /// combinations [`Tableau::deterministic_z_sign_in`] multiplies out,
-    /// this replaces `O(n)` strided single-bit reads per row with amortized
-    /// `O(n/64)` word reads plus one transpose per tile.
-    fn gather_rows_batch(&self, rows: &BitVec, gx: &mut BitMatrix, gz: &mut BitMatrix) {
-        debug_assert_eq!(rows.len(), self.n);
-        let m = rows.count_ones();
-        gx.reset(m, self.n);
-        gz.reset(m, self.n);
-        let groups = self.n.div_ceil(64);
-        let mut tile = [0u64; 64];
-        let mut out_base = 0usize;
-        for (band, &band_bits) in rows.words().iter().enumerate() {
-            if band_bits == 0 {
-                continue;
-            }
-            for g in 0..groups {
-                let q0 = g * 64;
-                let width = (self.n - q0).min(64);
-                for (plane, out) in [(&self.xs, &mut *gx), (&self.zs, &mut *gz)] {
-                    for (j, t) in tile[..width].iter_mut().enumerate() {
-                        *t = plane[q0 + j].words()[band];
-                    }
-                    tile[width..].fill(0);
-                    kernels::transpose_64x64(&mut tile);
-                    let mut bits = band_bits;
-                    let mut idx = out_base;
-                    while bits != 0 {
-                        let i = bits.trailing_zeros() as usize;
-                        out.row_words_mut(idx)[g] = tile[i];
-                        idx += 1;
-                        bits &= bits - 1;
-                    }
-                }
-            }
-            out_base += band_bits.count_ones() as usize;
-        }
-    }
-
     /// If no generator has an X at `q`, `Z_q` is in the stabilizer group of a
     /// pure state. Returns `Some(bit)` where `bit = true` means `−Z_q` (i.e.
     /// a measurement yields 1), or `None` if an X is present.
     pub fn deterministic_z_sign(&self, q: usize) -> Option<bool> {
-        self.deterministic_z_sign_in(q, &mut ElementScratch::new())
-    }
-
-    /// Allocation-free [`Tableau::deterministic_z_sign`]: all intermediate
-    /// storage lives in `scratch` and is reused across calls.
-    pub fn deterministic_z_sign_in(&self, q: usize, scratch: &mut ElementScratch) -> Option<bool> {
         if !self.xs[q].is_zero() {
             return None;
         }
-        // Solve over GF(2): which subset of rows multiplies to Z_q?
-        // Build the 2n×(n+1) augmented system A c = e (columns are
-        // generators, rhs in the trailing column). In the bit-sliced layout
-        // each system row *is* a stored column: word copies. The generators
-        // of a pure state are independent, so the solution is unique and any
-        // consistent elimination returns the same combination.
-        let s = scratch;
-        s.a.reset(2 * self.n, self.n + 1);
-        // All-zero constraint rows are skipped (see `find_element_impl`);
-        // the rhs row — `q`'s Z component — is always kept so an
-        // inconsistent (impure) system still reads as such.
-        let mut rows = 0;
-        for col in 0..self.n {
-            if !self.xs[col].is_zero() {
-                s.a.copy_row_from(rows, &self.xs[col]);
-                rows += 1;
+        // Which rows multiply to ±Z_q? The free-wire query (an element
+        // supported on `q` alone) answers it through the element search's
+        // compacted system; with no X at `q` only the (x, z) = (0, 1)
+        // pattern is consistent, and the generators of a pure state are
+        // independent, so the combination is unique.
+        let rows = self.find_element_any_in(&[], q, &[], &mut ElementScratch::new())?;
+        // Multiply them out in ascending order, one qubit at a time: moving
+        // the accumulated Z past a row's X on the same qubit contributes −1.
+        let mut phase = rows.iter().fold(0, |p, &r| (p + self.phase_of(r)) % 4);
+        for (col, (xcol, zcol)) in self.xs.iter().zip(&self.zs).enumerate() {
+            let (mut acc_x, mut acc_z, mut swaps) = (false, false, false);
+            for &r in &rows {
+                let x = xcol.get(r);
+                swaps ^= acc_z & x;
+                acc_x ^= x;
+                acc_z ^= zcol.get(r);
             }
-            if col == q || !self.zs[col].is_zero() {
-                s.a.copy_row_from(rows, &self.zs[col]);
-                if col == q {
-                    s.a.set(rows, self.n, true);
-                }
-                rows += 1;
+            debug_assert!(!acc_x && acc_z == (col == q));
+            if swaps {
+                phase = (phase + 2) % 4;
             }
         }
-        s.a.truncate_rows(rows);
-        s.a.rref_within_into(self.n, &mut s.pivots);
-        if !s
-            .a
-            .solution_from_reduced_into(&s.pivots, self.n, 0, &mut s.c)
-        {
-            return None;
-        }
-        // Multiply out the chosen rows on packed accumulators to get the
-        // sign. The rows are gathered in one transpose-tile batch pass; the
-        // sequential sweep below then works on row-major words.
-        self.gather_rows_batch(&s.c, &mut s.gather_x, &mut s.gather_z);
-        s.acc_x.reset(self.n);
-        s.acc_z.reset(self.n);
-        let mut phase: u8 = 0;
-        for (i, r) in s.c.ones().enumerate() {
-            let swaps = s.gather_x.row_parity_and(i, &s.acc_z);
-            phase = (phase + self.phase_of(r) + if swaps { 2 } else { 0 }) % 4;
-            s.gather_x.xor_row_into(i, &mut s.acc_x);
-            s.gather_z.xor_row_into(i, &mut s.acc_z);
-        }
-        debug_assert!(s.acc_x.is_zero());
-        debug_assert!((0..self.n).all(|col| s.acc_z.get(col) == (col == q)));
         debug_assert!(phase.is_multiple_of(2));
         Some(phase == 2)
     }
@@ -758,18 +674,9 @@ impl Tableau {
     /// on `allowed` is returned — fewer supported emitters means fewer
     /// emitter-emitter CNOTs downstream, so the solution is post-optimized
     /// over the constraint null space with a greedy descent.
-    pub fn find_element_supported_on(
-        &self,
-        restrict: &[usize],
-        target: usize,
-        allowed: &[usize],
-    ) -> Option<Vec<usize>> {
-        self.find_element_weighted(restrict, target, allowed, |_| 1)
-    }
-
-    /// Allocation-reusing [`Tableau::find_element_supported_on`]: the
-    /// constraint system, RREF pivots, null-space basis, and descent letter
-    /// masks all live in `scratch`.
+    ///
+    /// The constraint system, RREF pivots, null-space basis, and descent
+    /// letter masks all live in `scratch`.
     pub fn find_element_supported_on_in(
         &self,
         restrict: &[usize],
@@ -780,7 +687,7 @@ impl Tableau {
         self.find_element_weighted_in(restrict, target, allowed, |_| 1, scratch)
     }
 
-    /// Like [`Tableau::find_element_supported_on`], but returning the *first*
+    /// Like [`Tableau::find_element_supported_on_in`], but returning the *first*
     /// valid element without any support-weight optimization — the behavior
     /// of the vanilla Li-et-al. protocol (and of GraphiQ's deterministic
     /// solver), which works in an echelon gauge and takes whichever emission
@@ -801,26 +708,9 @@ impl Tableau {
         )
     }
 
-    /// Like [`Tableau::find_element_supported_on`], but minimizing a custom
-    /// per-qubit support weight over `allowed` instead of plain support
-    /// count. Solvers use this to steer work onto preferred emitters.
-    pub fn find_element_weighted(
-        &self,
-        restrict: &[usize],
-        target: usize,
-        allowed: &[usize],
-        weight_of: impl Fn(usize) -> usize,
-    ) -> Option<Vec<usize>> {
-        self.find_element_impl(
-            restrict,
-            target,
-            allowed,
-            Some(weight_of),
-            &mut ElementScratch::new(),
-        )
-    }
-
-    /// Allocation-reusing [`Tableau::find_element_weighted`].
+    /// Like [`Tableau::find_element_supported_on_in`], but minimizing a
+    /// custom per-qubit support weight over `allowed` instead of plain
+    /// support count. Solvers use this to steer work onto preferred emitters.
     pub fn find_element_weighted_in(
         &self,
         restrict: &[usize],
@@ -1162,9 +1052,8 @@ fn gather_kept(col: &BitVec, killed: &BitVec, rank: &[usize], dst: &mut [u64]) {
     }
 }
 
-/// Reusable scratch storage for the tableau's linear-algebra queries
-/// ([`Tableau::find_element_weighted_in`],
-/// [`Tableau::deterministic_z_sign_in`] and friends).
+/// Reusable scratch storage for the tableau's element searches
+/// ([`Tableau::find_element_weighted_in`] and friends).
 ///
 /// One scratch serves any number of tableaux of any size: every query
 /// reshapes the buffers it needs via [`BitVec::reset`] /
@@ -1174,16 +1063,14 @@ fn gather_kept(col: &BitVec, killed: &BitVec, rank: &[usize], dst: &mut [u64]) {
 /// system, pivot list, and null-space basis per call.
 #[derive(Debug, Clone)]
 pub struct ElementScratch {
-    /// Constraint system (also the augmented solve matrix). For the
-    /// element search its leading columns are the kept generators
-    /// (`keep`), not all of them.
+    /// Constraint system, augmented with the target-pattern columns; its
+    /// leading columns are the kept generators (`keep`), not all of them.
     a: BitMatrix,
     /// Null-space basis of `a`'s leading block.
     null: BitMatrix,
     /// RREF pivot columns.
     pivots: Vec<usize>,
-    /// Current solution / row combination (over the kept generators in the
-    /// element search).
+    /// Current solution / row combination, over the kept generators.
     c: BitVec,
     /// X / Z letter masks of `c` over `allowed_sorted`.
     c_x: BitVec,
@@ -1207,13 +1094,6 @@ pub struct ElementScratch {
     /// Forbidden constraint rows with two or more set bits, as
     /// `(qubit, is_z)`.
     dense: Vec<(usize, bool)>,
-    /// Packed product accumulators (sign computation).
-    acc_x: BitVec,
-    acc_z: BitVec,
-    /// Transpose-tile batch gather outputs (rows of the chosen combination,
-    /// packed over qubits).
-    gather_x: BitMatrix,
-    gather_z: BitMatrix,
     /// Membership masks over qubits.
     in_restrict: Vec<bool>,
     in_allowed: Vec<bool>,
@@ -1243,10 +1123,6 @@ impl ElementScratch {
             keep: Vec::new(),
             rank: Vec::new(),
             dense: Vec::new(),
-            acc_x: BitVec::zeros(0),
-            acc_z: BitVec::zeros(0),
-            gather_x: BitMatrix::zeros(0, 0),
-            gather_z: BitMatrix::zeros(0, 0),
             in_restrict: Vec::new(),
             in_allowed: Vec::new(),
             allowed_sorted: Vec::new(),
@@ -1515,9 +1391,12 @@ mod tests {
         // on {2} alone, so the solver must use an emitter; with vertex 1
         // allowed, g = X_2 Z_1 qualifies.
         let t = Tableau::graph_state(&generators::path(3));
-        assert!(t.find_element_supported_on(&[0, 1, 2], 2, &[]).is_none());
+        let mut scratch = ElementScratch::new();
+        assert!(t
+            .find_element_supported_on_in(&[0, 1, 2], 2, &[], &mut scratch)
+            .is_none());
         let rows = t
-            .find_element_supported_on(&[0, 2], 2, &[1])
+            .find_element_supported_on_in(&[0, 2], 2, &[1], &mut scratch)
             .expect("X_2 Z_1 exists");
         assert!(!rows.is_empty());
     }

@@ -21,6 +21,7 @@ fn compiled_circuit_emitter_count_respects_height_bound() {
         let ordering: Vec<usize> = (0..g.vertex_count()).collect();
         let bound = height::min_emitters(&g, &ordering);
         let solved = solve_with_ordering(&g, &ordering, &SolveOptions::default()).unwrap();
+        assert!(simulate::verify_circuit(&solved.circuit, &g).unwrap());
         let peak = epgs_circuit::timeline::peak_emitter_usage(&hw, &solved.circuit);
         assert!(
             peak >= bound.min(solved.emitters),
@@ -39,6 +40,8 @@ fn lc_equivalent_targets_compile_to_same_photon_count_different_gates() {
     ops::local_complement(&mut h, 2).unwrap();
     let a = solve_with_ordering(&g, &[0, 1, 2, 3, 4, 5], &SolveOptions::default()).unwrap();
     let b = solve_with_ordering(&h, &[0, 1, 2, 3, 4, 5], &SolveOptions::default()).unwrap();
+    assert!(simulate::verify_circuit(&a.circuit, &g).unwrap());
+    assert!(simulate::verify_circuit(&b.circuit, &h).unwrap());
     assert_eq!(a.circuit.emission_count(), b.circuit.emission_count());
 }
 
@@ -50,6 +53,7 @@ fn cost_estimate_is_a_lower_bound_signal_for_real_trms() {
         let ordering: Vec<usize> = (0..g.vertex_count()).collect();
         let est = estimate_ordering(&g, &ordering);
         let solved = solve_with_ordering(&g, &ordering, &SolveOptions::default()).unwrap();
+        assert!(simulate::verify_circuit(&solved.circuit, &g).unwrap());
         assert!(
             solved.circuit.measurement_count() + solved.emitters >= est.stalls,
             "measurements {} + pool {} < stalls {}",
@@ -66,6 +70,7 @@ fn manual_cz_circuit_agrees_with_solver_output_state() {
     // state the compiled circuit produces.
     let g = generators::lattice(2, 3);
     let solved = solve_with_ordering(&g, &[0, 1, 2, 3, 4, 5], &SolveOptions::default()).unwrap();
+    assert!(simulate::verify_circuit(&solved.circuit, &g).unwrap());
     let mut outcomes = simulate::ConstantOutcomes(false);
     let t = simulate::run(&solved.circuit, &mut outcomes).unwrap();
     let photon_wires: Vec<usize> = (0..6).map(|p| solved.circuit.num_emitters() + p).collect();

@@ -23,6 +23,7 @@ use rand::SeedableRng;
 
 use epgs::Pipeline;
 use epgs_circuit::qasm::to_qasm;
+use epgs_circuit::simulate::verify_circuit;
 use epgs_corpus::CorpusSpec;
 use epgs_graph::{generators, Graph};
 use epgs_solver::reverse::{solve_with_ordering, solve_with_ordering_in, SolveOptions};
@@ -113,10 +114,7 @@ fn workspace_reuse_matches_one_shot_solves_bit_for_bit() {
     // orderings that force pool growth — everything runs back to back
     // through ONE workspace and must match fresh one-shot solves exactly.
     let mut cases: Vec<(Graph, Vec<usize>, SolveOptions)> = Vec::new();
-    let defaults = SolveOptions {
-        verify: true,
-        ..SolveOptions::default()
-    };
+    let defaults = SolveOptions::default();
     cases.push((generators::path(8), (0..8).collect(), defaults.clone()));
     cases.push((
         generators::path(8),
@@ -158,6 +156,7 @@ fn workspace_reuse_matches_one_shot_solves_bit_for_bit() {
     for (i, (g, ord, opts)) in cases.iter().enumerate() {
         let one_shot =
             solve_with_ordering(g, ord, opts).unwrap_or_else(|e| panic!("case {i}: {e}"));
+        assert!(verify_circuit(&one_shot.circuit, g).unwrap(), "case {i}");
         let reused = solve_with_ordering_in(&mut ws, g, ord, opts)
             .unwrap_or_else(|e| panic!("case {i}: {e}"));
         assert_eq!(
@@ -182,5 +181,6 @@ fn workspace_reuse_matches_one_shot_solves_bit_for_bit() {
     assert!(solve_with_ordering_in(&mut ws, &g, &[0, 0, 1, 2, 3], &defaults).is_err());
     let ok = solve_with_ordering_in(&mut ws, &g, &[4, 3, 2, 1, 0], &defaults).unwrap();
     let fresh = solve_with_ordering(&g, &[4, 3, 2, 1, 0], &defaults).unwrap();
+    assert!(verify_circuit(&fresh.circuit, &g).unwrap());
     assert_eq!(ok.circuit, fresh.circuit);
 }
