@@ -1,17 +1,21 @@
 //! Fiduccia–Mattheyses-style local search for the partition objective.
 //!
-//! Multi-restart greedy vertex moves: from a seeded assignment, repeatedly
-//! relocate the vertex with the best cut-gain to another block with spare
-//! capacity, until no positive-gain move exists, with a pairwise swap pass
-//! for capacity-saturated partitions. A move pass is O(n · Δ) but a swap
-//! pass visits every vertex pair, so a refinement is O(passes · n²). This
-//! is the anytime workhorse above exact-search sizes.
+//! Multi-restart greedy vertex moves: from a seeded assignment, visit the
+//! vertices in a shuffled order and move each to the block with spare
+//! capacity that holds most of its neighbors, while any move lowers the
+//! cut, with a pairwise swap pass for capacity-saturated partitions. One
+//! neighbors-per-block table per refinement scores both passes: it is
+//! built once (O(n · Δ)), and each accepted move or swap updates the rows
+//! of the moved vertices' neighbors (O(Δ)). A move pass then reads one row
+//! per vertex (O(n · k) for `k` blocks), and a swap pass scores every
+//! vertex pair in O(1) each, so a refinement is O(passes · n²). This is
+//! the anytime workhorse above exact-search sizes.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use epgs_graph::{metrics, Graph};
+use epgs_graph::Graph;
 
 /// Greedy BFS seeding: grow blocks of ≤ `g_max` vertices by breadth-first
 /// expansion, which respects locality on lattices and meshes.
@@ -75,38 +79,50 @@ impl Csr {
     }
 }
 
+/// Moves `v` from block `from` to block `to` in the neighbors-per-block
+/// table: each neighbor of `v` now counts one more neighbor in `to` and one
+/// fewer in `from`.
+#[inline]
+fn shift(csr: &Csr, cnt: &mut [isize], num_blocks: usize, v: usize, from: usize, to: usize) {
+    for &u in csr.nbrs(v) {
+        cnt[u * num_blocks + from] -= 1;
+        cnt[u * num_blocks + to] += 1;
+    }
+}
+
 /// One greedy improvement pass; returns whether any move was made.
+///
+/// Each vertex, read off its row of `cnt`, moves to the block with spare
+/// capacity that holds the most of its neighbors (the first such block on
+/// ties) if that beats its own block's count; its own block never beats
+/// its own count, so it needs no test of its own. A move updates the rows
+/// of the vertex's neighbors.
 fn improve_pass(
     csr: &Csr,
     assign: &mut [usize],
     sizes: &mut [usize],
+    cnt: &mut [isize],
     g_max: usize,
     order: &[usize],
-    cost: &mut [isize],
 ) -> bool {
     let num_blocks = sizes.len();
     let mut moved = false;
     for &v in order {
         let from = assign[v];
-        // Cost of v under each block = edges from v to other blocks, i.e.
-        // degree minus the in-block neighbor count.
-        let nbrs = csr.nbrs(v);
-        cost.fill(nbrs.len() as isize);
-        for &w in nbrs {
-            cost[assign[w]] -= 1;
-        }
+        let row = &cnt[v * num_blocks..(v + 1) * num_blocks];
         let mut best_b = from;
-        let mut best_cost = cost[from];
-        for b in 0..num_blocks {
-            if b != from && sizes[b] < g_max && cost[b] < best_cost {
+        let mut best = row[from];
+        for (b, &c) in row.iter().enumerate() {
+            if c > best && sizes[b] < g_max {
                 best_b = b;
-                best_cost = cost[b];
+                best = c;
             }
         }
         if best_b != from {
             sizes[from] -= 1;
             sizes[best_b] += 1;
             assign[v] = best_b;
+            shift(csr, cnt, num_blocks, v, from, best_b);
             moved = true;
         }
     }
@@ -126,7 +142,7 @@ pub fn fm_partition(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut best_assign = bfs_seed(g, num_blocks, g_max);
     let mut scratch = RefineScratch::new(n, num_blocks);
-    refine(
+    let mut best_cut = refine(
         &csr,
         &mut best_assign,
         num_blocks,
@@ -134,7 +150,6 @@ pub fn fm_partition(
         &mut rng,
         &mut scratch,
     );
-    let mut best_cut = metrics::cut_edges(g, &best_assign);
     let mut assign = vec![0usize; n];
     for _ in 0..restarts {
         // Random balanced seed.
@@ -145,8 +160,7 @@ pub fn fm_partition(
         for (i, &v) in perm.iter().enumerate() {
             assign[v] = (i / g_max).min(num_blocks - 1);
         }
-        refine(&csr, &mut assign, num_blocks, g_max, &mut rng, &mut scratch);
-        let cut = metrics::cut_edges(g, &assign);
+        let cut = refine(&csr, &mut assign, num_blocks, g_max, &mut rng, &mut scratch);
         if cut < best_cut {
             best_cut = cut;
             std::mem::swap(&mut best_assign, &mut assign);
@@ -158,24 +172,20 @@ pub fn fm_partition(
 /// One greedy swap pass (handles capacity-saturated partitions where single
 /// moves are blocked); returns whether any swap was made.
 ///
-/// The pair gain is evaluated in O(1) from `cnt` — `cnt[v·nb + b]` counts
-/// `v`'s neighbors in block `b` under the current assignment (the caller
-/// builds it; accepted swaps maintain it). Swapping `v ∈ bv` with
+/// The pair gain is evaluated in O(1) from `cnt`: swapping `v ∈ bv` with
 /// `w ∈ bw` lowers the cut by `(cnt[v][bw] − cnt[v][bv]) + (cnt[w][bv] −
 /// cnt[w][bw]) − 2·adj`, where `adj = 1` iff `v ~ w` (that edge stays cut,
-/// yet each endpoint's count places the other in its new block). The
-/// adjacency term only lowers the gain, so a pair whose gain is already
-/// ≤ 0 without it is rejected before the `binary_search`; the same swaps
-/// are accepted in the same order as when every pair paid for the search.
+/// yet each endpoint's count places the other in its new block). A
+/// same-block pair's gain is exactly 0, so `gain > 0` rejects it with no
+/// test of its own. The adjacency term only lowers the gain, so a pair
+/// whose gain is already ≤ 0 without it is rejected before the
+/// `binary_search`; accepted swaps maintain `cnt`.
 fn swap_pass(csr: &Csr, assign: &mut [usize], cnt: &mut [isize], num_blocks: usize) -> bool {
     let n = assign.len();
     let mut swapped = false;
     for v in 0..n {
         for w in (v + 1)..n {
             let (bv, bw) = (assign[v], assign[w]);
-            if bv == bw {
-                continue;
-            }
             let gain = (cnt[v * num_blocks + bw] - cnt[v * num_blocks + bv])
                 + (cnt[w * num_blocks + bv] - cnt[w * num_blocks + bw]);
             if gain <= 0 {
@@ -186,14 +196,8 @@ fn swap_pass(csr: &Csr, assign: &mut [usize], cnt: &mut [isize], num_blocks: usi
                 swapped = true;
                 assign[v] = bw;
                 assign[w] = bv;
-                for &u in csr.nbrs(v) {
-                    cnt[u * num_blocks + bv] -= 1;
-                    cnt[u * num_blocks + bw] += 1;
-                }
-                for &u in csr.nbrs(w) {
-                    cnt[u * num_blocks + bw] -= 1;
-                    cnt[u * num_blocks + bv] += 1;
-                }
+                shift(csr, cnt, num_blocks, v, bv, bw);
+                shift(csr, cnt, num_blocks, w, bw, bv);
             }
         }
     }
@@ -205,8 +209,9 @@ struct RefineScratch {
     sizes: Vec<usize>,
     order: Vec<usize>,
     perm: Vec<usize>,
-    cost: Vec<isize>,
-    /// Per-vertex neighbors-per-block counts for [`swap_pass`].
+    /// `cnt[v·nb + b]` counts `v`'s neighbors in block `b` under the
+    /// current assignment: built once per [`refine`], then kept current by
+    /// every move of [`improve_pass`] and every swap of [`swap_pass`].
     cnt: Vec<isize>,
 }
 
@@ -216,12 +221,13 @@ impl RefineScratch {
             sizes: vec![0; num_blocks],
             order: Vec::with_capacity(n),
             perm: Vec::with_capacity(n),
-            cost: vec![0; num_blocks],
             cnt: vec![0; n * num_blocks],
         }
     }
 }
 
+/// Refines `assign` in place by alternating move and swap passes until a
+/// round changes nothing (at most 8 rounds); returns the final cut.
 fn refine(
     csr: &Csr,
     assign: &mut [usize],
@@ -229,7 +235,7 @@ fn refine(
     g_max: usize,
     rng: &mut StdRng,
     scratch: &mut RefineScratch,
-) {
+) -> usize {
     let n = assign.len();
     let sizes = &mut scratch.sizes;
     sizes.clear();
@@ -237,34 +243,38 @@ fn refine(
     for &b in assign.iter() {
         sizes[b] += 1;
     }
+    let cnt = &mut scratch.cnt;
+    cnt.clear();
+    cnt.resize(n * num_blocks, 0);
+    for v in 0..n {
+        for &w in csr.nbrs(v) {
+            cnt[v * num_blocks + assign[w]] += 1;
+        }
+    }
     let order = &mut scratch.order;
     order.clear();
     order.extend(0..n);
     for _ in 0..8 {
         order.shuffle(rng);
-        let moved = improve_pass(csr, assign, sizes, g_max, order, &mut scratch.cost);
-        // Rebuild the neighbors-per-block counts after the move pass, then
-        // let swap_pass maintain them incrementally.
-        let cnt = &mut scratch.cnt;
-        cnt.clear();
-        cnt.resize(n * num_blocks, 0);
-        for v in 0..n {
-            for &w in csr.nbrs(v) {
-                cnt[v * num_blocks + assign[w]] += 1;
-            }
-        }
+        let moved = improve_pass(csr, assign, sizes, cnt, g_max, order);
         let swapped = swap_pass(csr, assign, cnt, num_blocks);
         if !moved && !swapped {
             break;
         }
     }
+    // A vertex's cut edges are its degree minus its neighbors in its own
+    // block; summing over vertices counts each cut edge from both ends.
+    let cut_ends: usize = (0..n)
+        .map(|v| csr.nbrs(v).len() - cnt[v * num_blocks + assign[v]] as usize)
+        .sum();
+    cut_ends / 2
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exact::exact_min_cut;
-    use epgs_graph::generators;
+    use epgs_graph::{generators, metrics};
 
     #[test]
     fn bfs_seed_respects_capacity() {

@@ -21,10 +21,10 @@ pub enum PartitionScheme {
     /// back up. Graphs at or below
     /// [`crate::multilevel::COARSEN_CUTOFF`] (48 vertices) delegate to the
     /// flat engine unchanged. Above it, the LC beam (budget 8) spends about
-    /// 2.7× less time partitioning the six scale_mix graphs (n = 82–200)
-    /// than under [`PartitionScheme::Flat`]: 0.13 s against 0.34 s on a
-    /// shared 2-vCPU Linux VM, and its compiles end at 2463 ee-CNOTs
-    /// against 2492.
+    /// 3× less time partitioning the six scale_mix graphs (n = 82–200)
+    /// than under [`PartitionScheme::Flat`]: 0.05–0.06 s against 0.18 s
+    /// (best of 3 on a shared 2-vCPU Linux VM), and its compiles end at
+    /// 2463 ee-CNOTs against 2492.
     Multilevel(MultilevelOptions),
 }
 

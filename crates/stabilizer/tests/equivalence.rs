@@ -203,9 +203,13 @@ proptest! {
         }
     }
 
-    /// Deterministic-sign queries on wider states, whose ≥ 65-row
-    /// constraint systems take the Four-Russians elimination, still agree
-    /// with the reference on every wire.
+    /// Deterministic-sign queries on wider states still agree with the
+    /// reference on every wire. Only the reference reaches the
+    /// Four-Russians elimination here: `RefTableau` solves its full
+    /// 2n-row system with `BitMatrix::solve`, while the production
+    /// `deterministic_z_sign` reduces only the compacted free-wire system,
+    /// on the small kernel. So this does not cross-check the blocked path;
+    /// `gf2_differential.rs` is its only oracle.
     #[test]
     fn deterministic_sign_matches_reference_on_four_russians_sizes(
         n in 33usize..=70,
