@@ -6,7 +6,7 @@
 //!   under `Ne_limit ∈ {1.5, 2} × Ne_min`, and Fig. 11 (a) photon loss,
 //!   all from one partition + leaf-planning pass per target;
 //! * `fig11_lc` — Fig. 11 (b), cut edges with and without LC;
-//! * `ablation` — full framework vs no-LC, no-flex and vanilla generator
+//! * `ablation` — full framework vs no-LC and vanilla generator
 //!   selection;
 //! * `hardware` — the emitters × duration × loss Pareto front per
 //!   default-corpus instance across every hardware preset, written to
@@ -328,26 +328,23 @@ fn ablation_targets() -> Vec<(&'static str, Graph)> {
 }
 
 /// Ablation of the framework's design choices: [`bench_framework`] against
-/// itself without local complementation (l = 0) and without flexible
-/// emitter budgets (slack 0), plus a plain global solve with the published
-/// (vanilla Li-et-al.) generator selection in natural order.
+/// itself without local complementation (l = 0), plus a plain global solve
+/// with the published (vanilla Li-et-al.) generator selection in natural
+/// order.
 fn ablation() -> Result<(), String> {
     let hw = hw();
     let full = bench_framework().config().clone();
     let mut no_lc = full.clone();
     no_lc.partition.lc_budget = 0;
-    let mut no_flex = full.clone();
-    no_flex.flexible_slack = 0;
     let variants = [
         ("full", Pipeline::new(full)),
         ("no-LC", Pipeline::new(no_lc)),
-        ("no-flex", Pipeline::new(no_flex)),
     ];
 
     println!("== ablation: ee-CNOT / duration per configuration ==");
     println!(
-        "{:<14} {:>14} {:>14} {:>14} {:>16}",
-        "target", "full", "no-LC", "no-flex", "vanilla-select"
+        "{:<14} {:>14} {:>14} {:>16}",
+        "target", "full", "no-LC", "vanilla-select"
     );
     for (name, g) in ablation_targets() {
         let mut row = format!("{name:<14}");
@@ -411,7 +408,7 @@ fn pareto_front(points: &[Axes]) -> Vec<bool> {
 /// Multi-objective hardware sweep. For the first default-corpus instance
 /// of every family and each hardware preset, compiles on that preset
 /// under the `Duration` objective at 1×, 1.5× and 2× `Ne_min`. Partition
-/// and leaf planning run once per preset: the leaf variants are selected
+/// and leaf planning run once per preset: the leaf circuits are selected
 /// under the preset's timing, so one pipeline per preset keeps the
 /// comparison unbiased. The per-instance Pareto front over
 /// `(emitters, duration, mean loss)` — across *all* presets — is flagged

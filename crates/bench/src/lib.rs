@@ -71,7 +71,6 @@ pub fn bench_framework() -> Pipeline {
             ..Default::default()
         },
         orderings_per_subgraph: 8,
-        flexible_slack: 2,
         ..FrameworkConfig::default()
     })
 }

@@ -4,7 +4,7 @@
 //! An artifact document is a JSON envelope around a payload object:
 //!
 //! ```text
-//! {"format":"epgs-planned","version":1,
+//! {"format":"epgs-planned","version":2,
 //!  "canonical":"<16-hex>","config":"<16-hex>","checksum":"<16-hex>",
 //!  "payload":{target, ne_min, partition, plans}}
 //! ```
@@ -12,7 +12,7 @@
 //! The payload carries everything [`Planned`] owns: the exact target graph
 //! (so readers can confirm content-addressed lookups against the *exact*
 //! labeling, exactly like the in-memory cache), the refined partition, and
-//! every per-leaf plan including compiled circuits. Round-trips are
+//! every per-leaf plan including its compiled circuit. Round-trips are
 //! **bit-identical**: `f64` fields travel as 16-digit hex renderings of
 //! their IEEE bit patterns, never as decimal JSON numbers, so a decoded
 //! artifact schedules/recombines to byte-identical circuits.
@@ -36,14 +36,16 @@ use epgs_stabilizer::Pauli;
 use crate::batch::CacheKey;
 use crate::stages::planned::PlannedData;
 use crate::stages::{Pipeline, Planned};
-use crate::subgraph::{SubgraphPlan, SubgraphVariant};
+use crate::subgraph::SubgraphPlan;
 
 /// Format tag every artifact document carries.
 pub const FORMAT: &str = "epgs-planned";
 
 /// Current artifact schema version. Readers reject any other version —
 /// artifacts are cache entries, so "reject and recompile" is always sound.
-pub const VERSION: u64 = 1;
+/// Version 1 stored a `variants` array of circuits per leaf; version 2
+/// stores each leaf's one circuit inline.
+pub const VERSION: u64 = 2;
 
 /// Why an artifact document could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -206,19 +208,19 @@ fn write_circuit(w: &mut Writer, c: &Circuit) {
     w.end_obj();
 }
 
-fn write_variant(w: &mut Writer, v: &SubgraphVariant) {
+fn write_plan(w: &mut Writer, plan: &SubgraphPlan) {
     w.begin_obj();
-    w.field_uint("emitters", v.emitters as u64);
-    w.field_uint("solved_emitters", v.solved.emitters as u64);
+    write_usize_arr(w, "vertices", &plan.vertices);
+    w.field_uint("emitters", plan.solved.emitters as u64);
     w.key("circuit");
-    write_circuit(w, &v.solved.circuit);
-    write_usize_arr(w, "ordering", &v.solved.ordering);
-    w.field_hex("duration", v.duration.to_bits());
-    w.field_uint("ee_cnots", v.ee_cnots as u64);
-    w.field_hex("t_loss", v.t_loss.to_bits());
-    write_f64_bits_arr(w, "emission_times", &v.emission_times);
-    write_f64_bits_arr(w, "usage_times", &v.usage.0);
-    write_usize_arr(w, "usage_counts", &v.usage.1);
+    write_circuit(w, &plan.solved.circuit);
+    write_usize_arr(w, "ordering", &plan.solved.ordering);
+    w.field_hex("duration", plan.duration.to_bits());
+    w.field_uint("ee_cnots", plan.ee_cnots as u64);
+    w.field_hex("t_loss", plan.t_loss.to_bits());
+    write_f64_bits_arr(w, "emission_times", &plan.emission_times);
+    write_f64_bits_arr(w, "usage_times", &plan.usage.0);
+    write_usize_arr(w, "usage_counts", &plan.usage.1);
     w.end_obj();
 }
 
@@ -243,15 +245,7 @@ fn encode_payload(planned: &Planned) -> String {
     w.key("plans");
     w.begin_arr();
     for plan in planned.plans() {
-        w.begin_obj();
-        write_usize_arr(&mut w, "vertices", &plan.vertices);
-        w.key("variants");
-        w.begin_arr();
-        for v in &plan.variants {
-            write_variant(&mut w, v);
-        }
-        w.end_arr();
-        w.end_obj();
+        write_plan(&mut w, plan);
     }
     w.end_arr();
     w.end_obj();
@@ -437,14 +431,14 @@ fn decode_circuit(v: &Value) -> Result<Circuit, ArtifactError> {
     Ok(c)
 }
 
-fn decode_variant(v: &Value) -> Result<SubgraphVariant, ArtifactError> {
+fn decode_plan(v: &Value) -> Result<SubgraphPlan, ArtifactError> {
     let usage_times = f64_bits_arr(field(v, "usage_times")?, "usage_times")?;
     let usage_counts = usize_arr(field(v, "usage_counts")?, "usage_counts")?;
-    Ok(SubgraphVariant {
-        emitters: need_usize(field(v, "emitters")?, "variant emitters")?,
+    Ok(SubgraphPlan {
+        vertices: usize_arr(field(v, "vertices")?, "vertices")?,
         solved: epgs_solver::reverse::Solved {
             circuit: decode_circuit(field(v, "circuit")?)?,
-            emitters: need_usize(field(v, "solved_emitters")?, "solved emitters")?,
+            emitters: need_usize(field(v, "emitters")?, "plan emitters")?,
             ordering: usize_arr(field(v, "ordering")?, "ordering")?,
         },
         duration: hex_f64(field(v, "duration")?, "duration")?,
@@ -474,21 +468,7 @@ fn decode_payload(
         .as_arr()
         .ok_or_else(|| malformed("plans"))?
         .iter()
-        .map(|plan| {
-            let variants = field(plan, "variants")?
-                .as_arr()
-                .ok_or_else(|| malformed("variants"))?
-                .iter()
-                .map(decode_variant)
-                .collect::<Result<Vec<_>, ArtifactError>>()?;
-            if variants.is_empty() {
-                return Err(malformed("plan with no variants"));
-            }
-            Ok(SubgraphPlan {
-                vertices: usize_arr(field(plan, "vertices")?, "vertices")?,
-                variants,
-            })
-        })
+        .map(decode_plan)
         .collect::<Result<Vec<_>, ArtifactError>>()?;
     Ok((target, partition, plans, ne_min))
 }
@@ -569,31 +549,27 @@ mod tests {
         assert_eq!(a.plans().len(), b.plans().len());
         for (x, y) in a.plans().iter().zip(b.plans()) {
             assert_eq!(x.vertices, y.vertices);
-            assert_eq!(x.variants.len(), y.variants.len());
-            for (vx, vy) in x.variants.iter().zip(&y.variants) {
-                assert_eq!(vx.emitters, vy.emitters);
-                assert_eq!(vx.solved.circuit, vy.solved.circuit);
-                assert_eq!(vx.solved.emitters, vy.solved.emitters);
-                assert_eq!(vx.solved.ordering, vy.solved.ordering);
-                assert_eq!(vx.duration.to_bits(), vy.duration.to_bits());
-                assert_eq!(vx.ee_cnots, vy.ee_cnots);
-                assert_eq!(vx.t_loss.to_bits(), vy.t_loss.to_bits());
-                assert_eq!(
-                    vx.emission_times
-                        .iter()
-                        .map(|t| t.to_bits())
-                        .collect::<Vec<_>>(),
-                    vy.emission_times
-                        .iter()
-                        .map(|t| t.to_bits())
-                        .collect::<Vec<_>>()
-                );
-                assert_eq!(
-                    vx.usage.0.iter().map(|t| t.to_bits()).collect::<Vec<_>>(),
-                    vy.usage.0.iter().map(|t| t.to_bits()).collect::<Vec<_>>()
-                );
-                assert_eq!(vx.usage.1, vy.usage.1);
-            }
+            assert_eq!(x.solved.circuit, y.solved.circuit);
+            assert_eq!(x.solved.emitters, y.solved.emitters);
+            assert_eq!(x.solved.ordering, y.solved.ordering);
+            assert_eq!(x.duration.to_bits(), y.duration.to_bits());
+            assert_eq!(x.ee_cnots, y.ee_cnots);
+            assert_eq!(x.t_loss.to_bits(), y.t_loss.to_bits());
+            assert_eq!(
+                x.emission_times
+                    .iter()
+                    .map(|t| t.to_bits())
+                    .collect::<Vec<_>>(),
+                y.emission_times
+                    .iter()
+                    .map(|t| t.to_bits())
+                    .collect::<Vec<_>>()
+            );
+            assert_eq!(
+                x.usage.0.iter().map(|t| t.to_bits()).collect::<Vec<_>>(),
+                y.usage.0.iter().map(|t| t.to_bits()).collect::<Vec<_>>()
+            );
+            assert_eq!(x.usage.1, y.usage.1);
         }
     }
 
@@ -622,10 +598,10 @@ mod tests {
         let key = key_for(&pipeline, &g);
         let text = encode(&planned, key);
 
-        let bumped = text.replace("\"version\":1", "\"version\":2");
+        let bumped = text.replace("\"version\":2", "\"version\":3");
         assert!(matches!(
             decode(&bumped, key, &pipeline),
-            Err(ArtifactError::VersionMismatch { found: Some(2) })
+            Err(ArtifactError::VersionMismatch { found: Some(3) })
         ));
 
         let other = CacheKey {
@@ -636,6 +612,20 @@ mod tests {
             decode(&text, other, &pipeline),
             Err(ArtifactError::KeyMismatch)
         ));
+    }
+
+    #[test]
+    fn version_1_documents_with_variant_arrays_are_rejected() {
+        // A path-3 artifact written by the version-1 codec: each plan holds
+        // a `variants` array (the base circuit plus one flexible copy).
+        let v1 = include_str!("../tests/data/planned_v1.json");
+        assert!(v1.contains("\"variants\":["));
+        let pipeline = quick_pipeline();
+        let key = key_for(&pipeline, &generators::path(3));
+        assert_eq!(
+            decode(v1, key, &pipeline).unwrap_err(),
+            ArtifactError::VersionMismatch { found: Some(1) }
+        );
     }
 
     #[test]

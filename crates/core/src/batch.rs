@@ -92,7 +92,6 @@ pub fn config_fingerprint(cfg: &FrameworkConfig) -> u64 {
         cfg.partition.effort as u64,
         cfg.partition.seed,
         cfg.orderings_per_subgraph as u64,
-        cfg.flexible_slack as u64,
     ]
     .into_iter()
     .chain(scheme_words)

@@ -21,6 +21,10 @@ impl EmitterBudget {
 
 /// Complete configuration of the compilation framework.
 ///
+/// The paper's flexible-resource slack (§IV.B) is not a setting: it was
+/// measured here to change no circuit, so each leaf compiles once (see
+/// [`crate::subgraph`]).
+///
 /// Construct by struct update off [`FrameworkConfig::default`], the
 /// paper's setting:
 ///
@@ -31,7 +35,6 @@ impl EmitterBudget {
 /// let config = FrameworkConfig {
 ///     partition: PartitionSpec { g_max: 7, lc_budget: 15, ..Default::default() },
 ///     emitter_budget: EmitterBudget::Factor(1.5),
-///     flexible_slack: 2,
 ///     ..Default::default()
 /// };
 /// assert_eq!(config.partition.g_max, 7);
@@ -57,7 +60,7 @@ pub struct FrameworkConfig {
     pub partition: PartitionSpec,
     /// Hardware timing/loss model used for scheduling and reported metrics.
     pub hardware: HardwareModel,
-    /// What candidate circuits compete on — leaf-variant selection and
+    /// What candidate circuits compete on — leaf-circuit selection and
     /// recombination both minimize this, with figures measured under
     /// [`FrameworkConfig::hardware`]. [`CompileObjective::Emitters`] (the
     /// default) reproduces the paper's lexicographic (#ee-CNOT, `T_loss`,
@@ -67,9 +70,6 @@ pub struct FrameworkConfig {
     pub emitter_budget: EmitterBudget,
     /// Candidate emission orderings explored per subgraph.
     pub orderings_per_subgraph: usize,
-    /// Flexible-resource slack: each subgraph is also compiled with
-    /// `ne_min + 1 … ne_min + slack` emitters (paper §IV.B uses 2).
-    pub flexible_slack: usize,
 }
 
 impl Default for FrameworkConfig {
@@ -80,7 +80,6 @@ impl Default for FrameworkConfig {
             objective: CompileObjective::Emitters,
             emitter_budget: EmitterBudget::Factor(1.5),
             orderings_per_subgraph: 8,
-            flexible_slack: 2,
         }
     }
 }
@@ -97,7 +96,6 @@ pub(crate) fn quick_config() -> FrameworkConfig {
             ..Default::default()
         },
         orderings_per_subgraph: 4,
-        flexible_slack: 1,
         ..Default::default()
     }
 }
@@ -119,7 +117,6 @@ mod tests {
         let c = FrameworkConfig::default();
         assert_eq!(c.partition.g_max, 7);
         assert_eq!(c.partition.lc_budget, 15);
-        assert_eq!(c.flexible_slack, 2);
         assert_eq!(c.objective, CompileObjective::Emitters);
     }
 }

@@ -75,7 +75,7 @@
 //!
 //! What candidates compete *on* is configurable:
 //! [`FrameworkConfig::objective`] holds a [`CompileObjective`] consumed by
-//! leaf-variant selection and recombination scoring alike. The default,
+//! leaf-circuit selection and recombination scoring alike. The default,
 //! [`CompileObjective::Emitters`], is the paper's lexicographic
 //! (#ee-CNOT, `T_loss`, duration) order; [`CompileObjective::Duration`]
 //! puts duration first. Both measure candidates under
@@ -154,4 +154,4 @@ pub use stages::{
     Compiled, Partitioned, Pipeline, Planned, RecombineStrategy, Recombined, Scheduled, StageCounts,
 };
 pub use store::{ArtifactStore, RecoveryReport, StoreStats};
-pub use subgraph::{compile_subgraph, SubgraphPlan, SubgraphVariant};
+pub use subgraph::{compile_subgraph, SubgraphPlan};

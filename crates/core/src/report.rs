@@ -33,13 +33,12 @@ pub fn render(c: &Compiled) -> String {
         c.partition.lc_sequence.len()
     ));
     for (i, plan) in c.plans.iter().enumerate() {
-        let v = &plan.variants[0];
         out.push_str(&format!(
             "  block {i}: {} photons, {} emitters, {} ee-CNOTs, {:.2} τ\n",
             plan.photon_count(),
-            v.emitters,
-            v.ee_cnots,
-            v.duration
+            plan.solved.emitters,
+            plan.ee_cnots,
+            plan.duration
         ));
     }
     out.push_str(&format!(

@@ -3,9 +3,16 @@
 //! Subgraph circuits are packed on the timeline *as late as possible* in
 //! priority order `P_c = n_p / T_c` — photons-per-duration — under the global
 //! emitter budget `Ne_limit`. The packing treats each circuit as a Tetris
-//! piece whose shape is its emitter-usage step curve (Fig. 8). A flexible
-//! pass then upgrades blocks to their higher-emitter variants when that
-//! shortens the makespan (the "full utilization" rule).
+//! piece whose shape is its emitter-usage step curve (Fig. 8).
+//!
+//! The paper then upgrades blocks to higher-emitter variants when that
+//! shortens the makespan (the "full utilization" rule). This reproduction
+//! measured that pass and dropped it: each leaf's flexible variants had
+//! the base circuit's gates and usage curve (see [`crate::subgraph`]), so
+//! an upgrade packed to the same makespan and the strict improvement test
+//! never adopted one — 0 of 768 paper-sweep placements under
+//! `bench_framework()` (every budget from 1 to 2·Ne_min) and 0 of 390
+//! default-corpus placements under the serve configuration.
 
 use crate::subgraph::SubgraphPlan;
 
@@ -115,8 +122,6 @@ impl StepFn {
 pub struct Placement {
     /// Index into the plan list.
     pub block: usize,
-    /// Chosen variant index of that plan.
-    pub variant: usize,
     /// Offset of the block's *end* from the circuit end (reversed time).
     pub offset_from_end: f64,
 }
@@ -135,8 +140,7 @@ pub struct Schedule {
 impl Schedule {
     /// Absolute start time of a placement under this schedule's makespan.
     pub fn start_time(&self, p: &Placement, plans: &[SubgraphPlan]) -> f64 {
-        let dur = plans[p.block].variants[p.variant].duration;
-        self.makespan - p.offset_from_end - dur
+        self.makespan - p.offset_from_end - plans[p.block].duration
     }
 
     /// The global emission ordering induced by the schedule: photons sorted
@@ -147,14 +151,8 @@ impl Schedule {
         for p in &self.placements {
             let start = self.start_time(p, plans);
             let plan = &plans[p.block];
-            let variant = &plan.variants[p.variant];
             for (local, &global) in plan.vertices.iter().enumerate() {
-                photons.push((
-                    start + variant.emission_times[local],
-                    p.block,
-                    local,
-                    global,
-                ));
+                photons.push((start + plan.emission_times[local], p.block, local, global));
             }
         }
         photons.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
@@ -162,13 +160,7 @@ impl Schedule {
     }
 }
 
-/// Packs `plans` under `ne_limit` emitters: ALAP, priority-ordered, with a
-/// flexible-variant improvement pass.
-///
-/// # Panics
-///
-/// Panics if a plan has no variants (cannot happen for
-/// [`crate::subgraph::compile_subgraph`] outputs).
+/// Packs `plans` under `ne_limit` emitters: ALAP, priority-ordered.
 pub fn schedule(plans: &[SubgraphPlan], ne_limit: usize) -> Schedule {
     // Priority order: many photons / short duration first (latest placement).
     let mut order: Vec<usize> = (0..plans.len()).collect();
@@ -179,49 +171,14 @@ pub fn schedule(plans: &[SubgraphPlan], ne_limit: usize) -> Schedule {
             .then(a.cmp(&b))
     });
 
-    let variant_choice = vec![0usize; plans.len()];
-    let mut best = pack(plans, ne_limit, &order, &variant_choice);
-
-    // Flexible pass: try upgrading each block to each richer variant; adopt
-    // upgrades that shorten the makespan.
-    let mut choice = variant_choice;
-    let mut improved = true;
-    while improved {
-        improved = false;
-        for b in 0..plans.len() {
-            for v in 1..plans[b].variants.len() {
-                if plans[b].variants[v].emitters > ne_limit {
-                    continue;
-                }
-                let mut trial = choice.clone();
-                trial[b] = v;
-                let s = pack(plans, ne_limit, &order, &trial);
-                if s.makespan + 1e-9 < best.makespan {
-                    best = s;
-                    choice = trial;
-                    improved = true;
-                }
-            }
-        }
-    }
-    best
-}
-
-fn pack(
-    plans: &[SubgraphPlan],
-    ne_limit: usize,
-    order: &[usize],
-    variant_choice: &[usize],
-) -> Schedule {
     let mut combined = StepFn::default();
     let mut placements = Vec::with_capacity(plans.len());
     let mut makespan = 0f64;
-    for &b in order {
-        let v = variant_choice[b];
-        let variant = &plans[b].variants[v];
+    for b in order {
+        let plan = &plans[b];
         let rev = {
-            let curve = StepFn::new(variant.usage.0.clone(), variant.usage.1.clone());
-            curve.reversed(variant.duration)
+            let curve = StepFn::new(plan.usage.0.clone(), plan.usage.1.clone());
+            curve.reversed(plan.duration)
         };
         // Candidate offsets: 0 and every existing breakpoint; take the first
         // (smallest = latest in real time) that fits the budget.
@@ -237,10 +194,9 @@ fn pack(
                 makespan
             });
         combined.add_shifted(&rev, offset);
-        makespan = makespan.max(offset + variant.duration);
+        makespan = makespan.max(offset + plan.duration);
         placements.push(Placement {
             block: b,
-            variant: v,
             offset_from_end: offset,
         });
     }
@@ -266,7 +222,6 @@ mod tests {
             &HardwareModel::quantum_dot(),
             &epgs_hardware::CompileObjective::Emitters,
             4,
-            2,
             seed,
         )
         .unwrap()
@@ -325,8 +280,8 @@ mod tests {
     fn serial_budget_stacks_blocks() {
         let p1 = plan_for(&generators::path(4), 0, 3);
         let p2 = plan_for(&generators::path(4), 4, 4);
-        let d1 = p1.variants[0].duration;
-        let d2 = p2.variants[0].duration;
+        let d1 = p1.duration;
+        let d2 = p2.duration;
         let plans = vec![p1, p2];
         let s = schedule(&plans, 1);
         assert!(s.makespan >= d1 + d2 - 1e-9);

@@ -286,7 +286,6 @@ mod tests {
                 ..Default::default()
             },
             orderings_per_subgraph: 4,
-            flexible_slack: 1,
             ..Default::default()
         });
         let c = p.compile(&generators::complete(6)).expect("K6 compiles");

@@ -26,8 +26,8 @@ pub(crate) struct PlannedData {
     pub(crate) ne_min: usize,
 }
 
-/// Every leaf subgraph compiled near-optimally, with flexible emitter
-/// variants, plus the block-locally refined partition.
+/// Every leaf subgraph compiled near-optimally to one circuit, plus the
+/// block-locally refined partition.
 ///
 /// This is the expensive prefix of the pipeline — the artifact to keep when
 /// sweeping emitter budgets. [`Planned::schedule`] takes `&self`, so any
@@ -81,7 +81,6 @@ impl Planned {
                 &cfg.hardware,
                 &cfg.objective,
                 cfg.orderings_per_subgraph,
-                cfg.flexible_slack,
                 LEAF_SEED.wrapping_add(i as u64).wrapping_add(seed_extra),
             )
             .map_err(FrameworkError::from)
@@ -138,7 +137,7 @@ impl Planned {
                         })
                         .collect();
                     let mut work = transformed.clone();
-                    let mut cur_ee = plans_ref[i].variants[0].ee_cnots;
+                    let mut cur_ee = plans_ref[i].ee_cnots;
                     let mut out: Vec<(usize, SubgraphPlan)> = Vec::new();
                     for &v in &interior {
                         if out.len() >= budget_left {
@@ -154,8 +153,8 @@ impl Planned {
                             continue;
                         }
                         match compile_block(&work, block, i, 1 + v as u64) {
-                            Ok(candidate) if candidate.variants[0].ee_cnots < cur_ee => {
-                                cur_ee = candidate.variants[0].ee_cnots;
+                            Ok(candidate) if candidate.ee_cnots < cur_ee => {
+                                cur_ee = candidate.ee_cnots;
                                 out.push((v, candidate));
                             }
                             _ => {
@@ -223,8 +222,8 @@ impl Planned {
     }
 
     /// Stage 3: packs the leaf circuits as-late-as-possible under
-    /// `ne_limit` emitters (paper §IV.C), including the flexible-variant
-    /// improvement pass. `ne_limit` is clamped to at least 1.
+    /// `ne_limit` emitters (paper §IV.C). `ne_limit` is clamped to at
+    /// least 1.
     pub fn schedule(&self, ne_limit: usize) -> Scheduled {
         let ne_limit = ne_limit.max(1);
         let sched: Schedule = schedule(&self.data.plans, ne_limit);
@@ -273,11 +272,8 @@ mod tests {
         assert_eq!(a.plans().len(), b.plans().len());
         for (x, y) in a.plans().iter().zip(b.plans()) {
             assert_eq!(x.vertices, y.vertices);
-            assert_eq!(x.variants.len(), y.variants.len());
-            for (vx, vy) in x.variants.iter().zip(&y.variants) {
-                assert_eq!(vx.solved.circuit, vy.solved.circuit);
-                assert_eq!(vx.emitters, vy.emitters);
-            }
+            assert_eq!(x.solved.circuit, y.solved.circuit);
+            assert_eq!(x.solved.emitters, y.solved.emitters);
         }
         assert_eq!(p.counters().plan, 2, "both runs really executed");
     }

@@ -356,7 +356,7 @@ fn sequential_ordering(sched: &Schedule, plans: &[SubgraphPlan]) -> Vec<usize> {
     let mut out = Vec::new();
     for p in placements {
         let plan = &plans[p.block];
-        for &local in &plan.variants[p.variant].solved.ordering {
+        for &local in &plan.solved.ordering {
             out.push(plan.vertices[local]);
         }
     }
@@ -390,8 +390,9 @@ fn build_affinity(
     let mut group_emitters = vec![Vec::new(); plans.len()];
     for p in order {
         let start = sched.start_time(p, plans);
-        let end = start + plans[p.block].variants[p.variant].duration;
-        let demand = plans[p.block].variants[p.variant].emitters.min(pool).max(1);
+        let plan = &plans[p.block];
+        let end = start + plan.duration;
+        let demand = plan.solved.emitters.min(pool).max(1);
         // Emitters free at `start` first, then the earliest to free up.
         let mut candidates: Vec<usize> = (0..pool).collect();
         candidates.sort_by(|&a, &b| busy_until[a].total_cmp(&busy_until[b]).then(a.cmp(&b)));

@@ -1381,12 +1381,40 @@ mod tests {
         let name = ArtifactStore::file_name(key, exact_graph_hash(&g));
         let path = dir.join(&name);
         let text = fs::read_to_string(&path).unwrap();
-        fs::write(&path, text.replace("\"version\":1", "\"version\":99")).unwrap();
+        fs::write(&path, text.replace("\"version\":2", "\"version\":99")).unwrap();
         assert!(store.load(key, &g, &pipeline).is_none());
         let stats = store.stats();
         assert_eq!(stats.version_rejected, 1);
         assert_eq!(stats.corrupt_discarded, 0);
         assert!(!path.exists(), "unsupported version deleted");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn version_1_artifacts_are_deleted_never_quarantined() {
+        let dir = tmp_dir("version-1");
+        let pipeline = quick_pipeline();
+        let g = generators::path(3);
+        let key = key_for(&pipeline, &g);
+        let name = ArtifactStore::file_name(key, exact_graph_hash(&g));
+        let path = dir.join(&name);
+        let store = ArtifactStore::open(&dir).unwrap();
+        // Two strikes quarantine a corrupt name; an old-version file is not
+        // corrupt, so meeting it twice still just deletes it.
+        for strike in 1..=2 {
+            fs::write(&path, include_str!("../tests/data/planned_v1.json")).unwrap();
+            assert!(store.load(key, &g, &pipeline).is_none());
+            let stats = store.stats();
+            assert_eq!(stats.version_rejected, strike);
+            assert_eq!(stats.corrupt_discarded, 0);
+            assert_eq!(stats.quarantined, 0);
+            assert!(!path.exists(), "version-1 file deleted");
+            assert!(!dir.join(format!("{name}{QUARANTINE_SUFFIX}")).exists());
+        }
+        // The name stays writable: the recompiled artifact is stored and
+        // served.
+        store.save(key, &pipeline.partition(&g).plan_leaves().unwrap());
+        assert!(store.load(key, &g, &pipeline).is_some());
         let _ = fs::remove_dir_all(&dir);
     }
 }

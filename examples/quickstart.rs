@@ -82,9 +82,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Stage 2 — plan leaves (§IV.B): compile each block's induced subgraph
-    // near-optimally, in parallel across blocks. Every block is also solved
-    // with a few extra "flexible" emitter counts (ne_min + slack), giving
-    // the scheduler variants to choose from. This is the expensive prefix:
+    // near-optimally, in parallel across blocks, to one circuit per block
+    // (the paper's extra "flexible" emitter variants were measured
+    // identical to that circuit and dropped). This is the expensive prefix:
     // hold the returned `Planned` and you never pay for it again — the
     // batch engine's artifact cache stores exactly this artifact.
     let planned = partitioned.plan_leaves()?;

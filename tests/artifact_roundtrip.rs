@@ -24,7 +24,6 @@ fn quick_pipeline() -> Pipeline {
             ..Default::default()
         },
         orderings_per_subgraph: 4,
-        flexible_slack: 1,
         ..Default::default()
     })
 }

@@ -22,7 +22,6 @@ fn quick_config() -> FrameworkConfig {
             ..Default::default()
         },
         orderings_per_subgraph: 5,
-        flexible_slack: 1,
         ..FrameworkConfig::default()
     }
 }

@@ -195,17 +195,17 @@ fn shipped_config_fingerprints_are_pinned() {
         (
             "FrameworkConfig::default",
             FrameworkConfig::default(),
-            0x22f9_3e61_c63c_76f6,
+            0x8b40_8560_d71d_228c,
         ),
         (
             "bench_framework",
             epgs_bench::bench_framework().config().clone(),
-            0x36dc_051a_cec4_3b28,
+            0x7a26_e714_7494_2e52,
         ),
         (
             "serve default_config",
             default_config(),
-            0xd959_849c_212b_e609,
+            0x7643_6868_26b3_2934,
         ),
     ];
     for (name, config, pinned) in pins {

@@ -97,7 +97,6 @@ fn degenerate_partition_configs_do_not_crash() {
                 ..Default::default()
             },
             orderings_per_subgraph: 2,
-            flexible_slack: 0,
             ..FrameworkConfig::default()
         });
         let c = pipeline
