@@ -9,7 +9,7 @@
 //! compiler this is within noise of real work-stealing.
 
 use std::cell::Cell;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 thread_local! {
     /// True while this thread is a pool worker executing mapped items.
@@ -27,7 +27,13 @@ thread_local! {
 /// compiler's candidate search nested inside the per-block parallel map
 /// would otherwise spawn workers × workers threads for sub-millisecond
 /// solves.
+///
+/// The hardware thread count is read once per process (the query reads
+/// cgroup files and costs tens of microseconds per call); the
+/// `RAYON_NUM_THREADS` cap is read on every call, since tests set it at
+/// runtime.
 fn worker_count(n: usize) -> usize {
+    static HARDWARE_THREADS: OnceLock<usize> = OnceLock::new();
     if IN_WORKER.with(Cell::get) {
         return 1;
     }
@@ -36,11 +42,12 @@ fn worker_count(n: usize) -> usize {
         .and_then(|v| v.parse::<usize>().ok())
         .filter(|&t| t > 0)
         .unwrap_or(usize::MAX);
-    std::thread::available_parallelism()
-        .map(|t| t.get())
-        .unwrap_or(1)
-        .min(cap)
-        .min(n)
+    let hardware = *HARDWARE_THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|t| t.get())
+            .unwrap_or(1)
+    });
+    hardware.min(cap).min(n)
 }
 
 /// Applies `f` to every item on a scoped worker pool; the result vector is

@@ -55,13 +55,15 @@ pub fn bfs_seed(g: &Graph, num_blocks: usize, g_max: usize) -> Vec<usize> {
 /// iterates, but as one contiguous slice per vertex. The refinement passes
 /// sweep neighborhoods millions of times per partition search; slice
 /// iteration instead of `BTreeSet` pointer-chasing is a multi-× win there.
-struct Csr {
+/// The LC beam ranks its expansions above the V-cycle cutoff over the
+/// same layout.
+pub(crate) struct Csr {
     offsets: Vec<usize>,
     neighbors: Vec<usize>,
 }
 
 impl Csr {
-    fn new(g: &Graph) -> Self {
+    pub(crate) fn new(g: &Graph) -> Self {
         let n = g.vertex_count();
         let mut offsets = Vec::with_capacity(n + 1);
         let mut neighbors = Vec::with_capacity(2 * g.edge_count());
@@ -74,7 +76,7 @@ impl Csr {
     }
 
     #[inline]
-    fn nbrs(&self, v: usize) -> &[usize] {
+    pub(crate) fn nbrs(&self, v: usize) -> &[usize] {
         &self.neighbors[self.offsets[v]..self.offsets[v + 1]]
     }
 }

@@ -11,7 +11,12 @@
 //! Above [`COARSEN_CUTOFF`] vertices (the V-cycle's cutoff, under both
 //! schemes), not every expansion is partitioned. An LC at v toggles only
 //! the pairs inside N(v), so the cut and edge count it leaves under the
-//! parent's (fixed) assignment are exact in O(deg(v)²).
+//! parent's (fixed) assignment are exact from counts over N(v): with
+//! d = |N(v)|, E the edges inside N(v), E_cross those of them that cross
+//! blocks and d_b the members of N(v) in block b,
+//! Δedges = C(d,2) − 2E and Δcut = C(d,2) − Σ_b C(d_b,2) − 2·E_cross.
+//! One flat adjacency per beam state and a stamp array over N(v) give
+//! both in O(Σ_{a ∈ N(v)} deg(a)), with no per-pair set lookups.
 //! Each depth ranks its distinct expansions by that pair and fully scores
 //! only the first `BEAM_WIDTH` of the stable order, so a search makes at
 //! most `1 + lc_budget · BEAM_WIDTH` partitioner calls instead of one per
@@ -39,7 +44,7 @@ use rayon::prelude::*;
 use epgs_graph::{ops, Graph};
 
 use crate::control::{InjectedFault, SearchControl, SearchReport};
-use crate::fm::fm_partition;
+use crate::fm::{fm_partition, Csr};
 use crate::multilevel::{multilevel_partition, COARSEN_CUTOFF};
 use crate::spec::{Partition, PartitionScheme, PartitionSpec};
 
@@ -76,8 +81,10 @@ impl State {
 }
 
 /// Exact change in `(cut, edge count)` that LC at `v` makes to `g` under
-/// the fixed assignment `block_of`. LC toggles every pair {a, b} ⊂ N(v):
-/// ±1 edge, and ±1 cut edge when a and b sit in different blocks.
+/// the fixed assignment `block_of`, pair by pair. LC toggles every pair
+/// {a, b} ⊂ N(v): ±1 edge, and ±1 cut edge when a and b sit in different
+/// blocks. The oracle of [`lc_deltas`].
+#[cfg(test)]
 fn lc_delta(g: &Graph, v: usize, block_of: &[usize]) -> (isize, isize) {
     let nbrs = g.neighbors(v);
     let (mut cut, mut edges) = (0, 0);
@@ -91,6 +98,73 @@ fn lc_delta(g: &Graph, v: usize, block_of: &[usize]) -> (isize, isize) {
         }
     }
     (cut, edges)
+}
+
+/// Exact change in `(cut, edge count)` that each job's LC makes to its
+/// state's graph under the state's assignment, in job order.
+///
+/// Counts over N(v) replace the pair-by-pair toggles: the C(d,2) pairs of
+/// N(v) all flip, the 2E ordered pairs that were edges turn into
+/// non-edges, and a flipped pair changes the cut only when its ends sit in
+/// different blocks (C(d,2) − Σ_b C(d_b,2) pairs, of which 2·E_cross
+/// ordered ones were cut edges). Each run of jobs on one state flattens
+/// that state's graph once; members of N(v) are stamped with the job
+/// index, so the stamp array is never cleared.
+fn lc_deltas(beam: &[State], jobs: &[(usize, usize)]) -> Vec<(isize, isize)> {
+    let n = beam.first().map_or(0, |s| s.graph.vertex_count());
+    let mut stamp = vec![usize::MAX; n];
+    let mut deltas = Vec::with_capacity(jobs.len());
+    for run in jobs.chunk_by(|a, b| a.0 == b.0) {
+        let state = &beam[run[0].0];
+        let csr = Csr::new(&state.graph);
+        let block_of = &state.assign;
+        let mut per_block = vec![0usize; block_of.iter().max().map_or(0, |&b| b + 1)];
+        for &(_, v) in run {
+            let j = deltas.len();
+            let nbrs = csr.nbrs(v);
+            for &a in nbrs {
+                stamp[a] = j;
+            }
+            // `same_block` accumulates Σ_b C(d_b, 2) one member at a time;
+            // `inside` and `cross` count ordered pairs (2E and 2·E_cross).
+            let (mut same_block, mut inside, mut cross) = (0, 0, 0);
+            for &a in nbrs {
+                let ba = block_of[a];
+                same_block += per_block[ba];
+                per_block[ba] += 1;
+                for &b in csr.nbrs(a) {
+                    if stamp[b] == j {
+                        inside += 1;
+                        cross += usize::from(block_of[b] != ba);
+                    }
+                }
+            }
+            for &a in nbrs {
+                per_block[block_of[a]] = 0;
+            }
+            let pairs = nbrs.len() * nbrs.len().saturating_sub(1) / 2;
+            let dcut = (pairs - same_block) as isize - cross as isize;
+            let dedges = pairs as isize - inside as isize;
+            deltas.push((dcut, dedges));
+        }
+    }
+    deltas
+}
+
+/// The jobs in ranking order: by the exact `(cut, edges)` each expansion
+/// leaves under its parent's assignment, stable over job order.
+fn ranked(beam: &[State], jobs: &[(usize, usize)]) -> Vec<usize> {
+    let keys: Vec<(isize, isize)> = lc_deltas(beam, jobs)
+        .into_iter()
+        .zip(jobs)
+        .map(|((dcut, dedges), &(si, _))| {
+            let state = &beam[si];
+            (state.cut as isize + dcut, state.edges as isize + dedges)
+        })
+        .collect();
+    let mut order: Vec<usize> = (0..jobs.len()).collect();
+    order.sort_by_key(|&j| keys[j]);
+    order
 }
 
 /// One expansion `state.graph + LC(v)`, in the sequential candidate order.
@@ -254,17 +328,14 @@ pub fn partition_with_lc_controlled(
         // their exact cut and edge count under the parent's assignment and
         // keep the first BEAM_WIDTH of that stable order; at or below it,
         // keep all of them.
-        let mut picked: Vec<usize> = (0..jobs.len()).collect();
-        if n > COARSEN_CUTOFF {
-            picked.sort_by_cached_key(|&j| {
-                let (si, v) = jobs[j];
-                let state = &beam[si];
-                let (cut, edges) = lc_delta(&state.graph, v, &state.assign);
-                (state.cut as isize + cut, state.edges as isize + edges)
-            });
+        let picked: Vec<usize> = if n > COARSEN_CUTOFF {
+            let mut picked = ranked(&beam, &jobs);
             picked.truncate(BEAM_WIDTH);
             picked.sort_unstable();
-        }
+            picked
+        } else {
+            (0..jobs.len()).collect()
+        };
         // Score the picked expansions, one task per candidate. A worker
         // keeps the graph of the state it is on and applies/undoes the LC
         // around the partitioner call instead of cloning per candidate.
@@ -380,6 +451,59 @@ mod tests {
                 );
                 prop_assert_eq!(edges as isize + dedges, after.edge_count() as isize);
             }
+        }
+
+        /// The flat-adjacency deltas equal the pair-by-pair oracle on every
+        /// job of a beam whose states are random graphs after random LC
+        /// sequences (one state repeated, as commuting LCs make them), and
+        /// the ranked order equals the oracle's cached-key sort, ties and
+        /// their job order included.
+        #[test]
+        fn ranked_order_matches_the_pairwise_oracle(
+            n in 2usize..70,
+            density in 1u32..9,
+            blocks in 1usize..5,
+            width in 1usize..5,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = generators::erdos_renyi(n, f64::from(density) / 12.0, &mut rng);
+            let mut beam = Vec::new();
+            for _ in 0..width {
+                let mut graph = g.clone();
+                let seq: Vec<usize> = (0..rng.gen_range(0..6)).map(|_| rng.gen_range(0..n)).collect();
+                ops::apply_lc_sequence(&mut graph, &seq).unwrap();
+                let assign: Vec<usize> = (0..n).map(|_| rng.gen_range(0..blocks)).collect();
+                let (cut, edges) = (metrics::cut_edges(&graph, &assign), graph.edge_count());
+                beam.push(State { graph, seq, cut, edges, assign });
+            }
+            let twin = State {
+                graph: beam[0].graph.clone(),
+                seq: beam[0].seq.clone(),
+                cut: beam[0].cut,
+                edges: beam[0].edges,
+                assign: beam[0].assign.clone(),
+            };
+            beam.push(twin);
+            let jobs: Vec<(usize, usize)> = (0..beam.len())
+                .flat_map(|si| (0..n).map(move |v| (si, v)))
+                .filter(|&(si, v)| beam[si].graph.degree(v) >= 2)
+                .collect();
+            let oracle = |&(si, v): &(usize, usize)| {
+                let state: &State = &beam[si];
+                lc_delta(&state.graph, v, &state.assign)
+            };
+            prop_assert_eq!(
+                lc_deltas(&beam, &jobs),
+                jobs.iter().map(oracle).collect::<Vec<_>>()
+            );
+            let mut expected: Vec<usize> = (0..jobs.len()).collect();
+            expected.sort_by_cached_key(|&j| {
+                let (cut, edges) = oracle(&jobs[j]);
+                let state = &beam[jobs[j].0];
+                (state.cut as isize + cut, state.edges as isize + edges)
+            });
+            prop_assert_eq!(ranked(&beam, &jobs), expected);
         }
     }
 

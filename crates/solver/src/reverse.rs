@@ -757,9 +757,7 @@ impl<'g> ReverseSolver<'g> {
         }
         self.disentangle_emitters();
         debug_assert!(
-            self.ws
-                .t
-                .same_state_as(&Tableau::zero_state(self.n + self.pool)),
+            self.ws.t.num_qubits() == self.n + self.pool && self.ws.t.is_zero_state(),
             "reverse walk must terminate in |0…0⟩"
         );
         Ok(self.into_circuit())

@@ -616,6 +616,30 @@ impl Tableau {
         Some(phase == 2)
     }
 
+    /// True if the tableau is exactly |0…0⟩: every generator is a `+Z`
+    /// string (no X letter, phase 0) and the generators have full rank.
+    ///
+    /// Exact for every tableau, valid or not: the rows generate the group
+    /// of all `+Z` strings iff each row is one and they are independent, so
+    /// the answer equals `same_state_as(&Tableau::zero_state(n))` without
+    /// canonicalizing either side (a cleared or duplicated row fails the
+    /// rank test, an odd phase the phase test).
+    pub fn is_zero_state(&self) -> bool {
+        if self.xs.iter().any(|col| !col.is_zero())
+            || !self.phase_lo.is_zero()
+            || !self.phase_hi.is_zero()
+        {
+            return false;
+        }
+        // The Z block's rank, over its columns (a matrix and its transpose
+        // have equal rank).
+        let mut z = BitMatrix::zeros(self.n, self.n);
+        for (q, col) in self.zs.iter().enumerate() {
+            z.copy_row_from(q, col);
+        }
+        z.rref().len() == self.n
+    }
+
     /// Canonicalizes the tableau in place: symplectic RREF over the column
     /// order `x_0, z_0, x_1, z_1, …` with rows sorted by pivot. Two tableaux
     /// describe the same state iff their canonical forms are identical.
@@ -1349,6 +1373,26 @@ mod tests {
         a.row_mul(0, 1);
         a.swap_rows(2, 3);
         assert!(a.same_state_as(&b));
+    }
+
+    #[test]
+    fn zero_state_test_needs_plus_z_rows_of_full_rank() {
+        let mut t = Tableau::zero_state(3);
+        assert!(t.is_zero_state());
+        t.row_mul(0, 1); // Z0·Z1 still generates the same group
+        assert!(t.is_zero_state());
+        let mut flipped = t.clone();
+        flipped.px(2);
+        assert!(!flipped.is_zero_state());
+        let mut plus = t.clone();
+        plus.h(1);
+        assert!(!plus.is_zero_state());
+        let mut cleared = t.clone();
+        cleared.clear_row(2);
+        assert!(!cleared.is_zero_state());
+        let mut odd = t;
+        odd.set_phase(1, 1);
+        assert!(!odd.is_zero_state());
     }
 
     #[test]

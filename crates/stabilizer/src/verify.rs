@@ -18,7 +18,8 @@ use crate::tableau::Tableau;
 /// assert!(verify::is_graph_state(&t, &g));
 /// ```
 pub fn is_graph_state(t: &Tableau, g: &Graph) -> bool {
-    t.same_state_as(&Tableau::graph_state(g))
+    let n = g.vertex_count();
+    t.num_qubits() == n && is_graph_state_on(t, g, &(0..n).collect::<Vec<_>>())
 }
 
 /// True if the sub-register `qubits` of `t` is exactly |G⟩ on those qubits
@@ -26,31 +27,26 @@ pub fn is_graph_state(t: &Tableau, g: &Graph) -> bool {
 ///
 /// This is the compiler's acceptance criterion: photons carry |G⟩, emitters
 /// are back in |0⟩.
+///
+/// The check undoes the preparation instead of comparing canonical forms:
+/// |G⟩ ⊗ |0⟩ is `Π CZ_edges · H_register` applied to |0…0⟩, and every one
+/// of those gates is self-inverse, so a copy of `t` with the CZs and then
+/// the Hadamards applied is |0…0⟩ exactly when `t` is the expected state
+/// ([`Tableau::is_zero_state`]).
 pub fn is_graph_state_on(t: &Tableau, g: &Graph, qubits: &[usize]) -> bool {
-    let n = t.num_qubits();
     assert_eq!(
         g.vertex_count(),
         qubits.len(),
         "graph order must match the register size"
     );
-    // Build the expected global state: |G⟩ on `qubits`, |0⟩ elsewhere.
-    let mut global = Graph::new(n);
-    for (i, &qi) in qubits.iter().enumerate() {
-        for (j, &qj) in qubits.iter().enumerate() {
-            if i < j && g.has_edge(i, j) {
-                global.add_edge(qi, qj).expect("indices in range");
-            }
-        }
+    let mut undone = t.clone();
+    for (i, j) in g.edges() {
+        undone.cz(qubits[i], qubits[j]);
     }
-    let mut expected = Tableau::graph_state(&global);
-    // Non-register qubits must be |0⟩, not |+⟩: apply H to flip X_q → Z_q.
-    let in_register: std::collections::BTreeSet<usize> = qubits.iter().copied().collect();
-    for q in 0..n {
-        if !in_register.contains(&q) {
-            expected.h(q);
-        }
+    for &q in qubits {
+        undone.h(q);
     }
-    t.same_state_as(&expected)
+    undone.is_zero_state()
 }
 
 #[cfg(test)]
