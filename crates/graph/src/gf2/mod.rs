@@ -17,10 +17,9 @@
 //! All sizes in this workspace are at most a few hundred, so no sparse
 //! representation is warranted. Bulk word loops (XOR/OR/popcount/inner
 //! product) live in the private `kernels` module, one straight-line loop
-//! each; reductions beyond the 64-row transposed kernel go through a
-//! Four-Russians blocked elimination
-//! ([`BitMatrix::rref_within_blocked_into`]) that is bit-identical to the
-//! word-loop path it replaces.
+//! each; reductions go through a transposed kernel for systems of at most
+//! 64 rows and 128 columns and through a straight-line word loop otherwise
+//! (see [`BitMatrix::rref_within_into`]).
 //!
 //! # Examples
 //!
@@ -562,37 +561,28 @@ impl BitMatrix {
     /// written into `pivots` (cleared first), reusing its storage.
     ///
     /// Dispatches on shape alone: systems of ≤ 64 rows and ≤ 128 columns go
-    /// through the transposed `rref_small` kernel, systems of > 64 rows take
-    /// the Four-Russians blocked elimination
-    /// ([`BitMatrix::rref_within_blocked_into`]), and the remaining
-    /// ≤ 64-row, > 128-column systems take the word loop
-    /// ([`BitMatrix::rref_within_wordloop_into`]). One single-threaded
-    /// compile of the `scale_mix` benchmark graphs makes 12,405 small,
-    /// 809 Four-Russians and 0 word-loop calls; the `paper_sweep` graphs
-    /// make 10,452 / 0 / 0. All three paths perform the same elementary
-    /// row operations and produce bit-identical reduced matrices and pivot
+    /// through the transposed `rref_small` kernel, every other system takes
+    /// the word loop ([`BitMatrix::rref_within_wordloop_into`]). One
+    /// single-threaded compile of the `scale_mix` benchmark graphs makes
+    /// 10,511 small and 145 word-loop reductions, every word-loop one of
+    /// more than 64 rows (109 element-search systems and 36 of stage 5's
+    /// square rank tests); the `paper_sweep` graphs make 8,366 and 12, the
+    /// 12 all rank tests. Both paths perform the same elementary row
+    /// operations and produce bit-identical reduced matrices and pivot
     /// lists.
     pub fn rref_within_into(&mut self, lead_cols: usize, pivots: &mut Vec<usize>) {
         assert!(lead_cols <= self.cols, "lead_cols out of range");
         pivots.clear();
         if self.rows <= 64 && self.cols <= 128 {
             self.rref_small(lead_cols, pivots);
-        } else if self.rows > 64 {
-            // Four-Russians barely earns its code now: sending these
-            // systems to the word loop instead leaves output unchanged and
-            // moves `scale_mix` throughput from 38.7 to 38.5 compiles/s
-            // (medians of 10 alternating 12 s runs, 2-vCPU x86-64 Xeon; the
-            // blocked path won 8 of 10 pairs by a median 1.3%, inside the
-            // runs' 36–40/s spread).
-            self.rref_within_blocked_into(lead_cols, pivots);
         } else {
             self.rref_within_wordloop_into(lead_cols, pivots);
         }
     }
 
-    /// The straight-line word-loop RREF — the path for ≤ 64-row systems wider
-    /// than 128 columns, and the oracle the differential suite reduces the
-    /// other two paths against.
+    /// The straight-line word-loop RREF — the path for every system past
+    /// the `rref_small` shape, and the oracle the differential suite reduces
+    /// the dispatched path against.
     ///
     /// The elimination works on whole row slices: the pivot row is staged in
     /// a (stack) buffer so every other row is updated with one straight-line
@@ -631,174 +621,6 @@ impl BitMatrix {
             }
             pivots.push(col);
             pivot_row += 1;
-        }
-    }
-
-    /// Four-Russians (M4RI-style) blocked RREF over the first `lead_cols`
-    /// columns, bit-identical to [`BitMatrix::rref_within_wordloop_into`].
-    ///
-    /// Columns are processed in windows of `k = clamp(⌊log₂ rows⌋ − 3, 4, 6)`.
-    /// Phase 1 finds the window's pivots: for each window column, candidate
-    /// rows are scanned by their *effective* bit — the raw bit XOR the parity
-    /// of contributions from the pivot rows already found in this window
-    /// (selected by the candidate's bits at those pivot columns) — so the
-    /// scan sees exactly what sequential elimination would have left there
-    /// without touching any non-pivot row. The chosen row is reduced against
-    /// the window's pivot rows, swapped into place, and earlier pivot rows
-    /// are reduced against it, keeping the block mutually reduced. Phase 2
-    /// then eliminates the window from every row outside the block with one
-    /// table lookup per row: a Gray-code table over the 2^k window patterns
-    /// (non-pivot window bits contribute nothing) turns k single-pivot
-    /// sweeps over the matrix into one. Because XOR is associative and each
-    /// row's combination is selected by its pre-elimination window bits, the
-    /// result — including the carried trailing columns — matches the
-    /// sequential path bit for bit.
-    ///
-    /// One scratch allocation (the pattern table) is made per call; this
-    /// path only runs for systems past the 64-row `rref_small`
-    /// cutoff, where the table build is amortized over whole-matrix sweeps.
-    pub fn rref_within_blocked_into(&mut self, lead_cols: usize, pivots: &mut Vec<usize>) {
-        assert!(lead_cols <= self.cols, "lead_cols out of range");
-        pivots.clear();
-        if self.rows == 0 || lead_cols == 0 {
-            return;
-        }
-        let wpr = self.words_per_row;
-        let rows = self.rows;
-        // Window width: larger tables amortize better over more rows, but a
-        // table entry costs the same to build as an elimination row-XOR, so
-        // 2^k must stay well below the row count. Measured on the solver's
-        // constraint shapes (2n×(n+1), 128–1024 rows), the sweet spot is
-        // k = ⌊log₂ rows⌋ − 3 clamped to [4, 6] — smaller than the textbook
-        // 6–8 because the monomorphized sweep makes per-row cost so low that
-        // table construction is the marginal cost.
-        let k = ((usize::BITS - 1 - rows.leading_zeros()) as usize) // ⌊log₂ rows⌋ (rows ≥ 1)
-            .saturating_sub(3)
-            .clamp(4, 6);
-        let mut table = vec![0u64; (1usize << k) * wpr];
-        let mut wcols = [0usize; 8]; // window-relative pivot column offsets
-        let mut r = 0usize; // first row of the current pivot block
-        let mut c = 0usize; // first column of the current window
-        while r < rows && c < lead_cols {
-            let kk = k.min(lead_cols - c);
-            // Phase 1: locate up to kk pivots inside columns [c, c+kk).
-            let mut npiv = 0usize;
-            for j in 0..kk {
-                if r + npiv >= rows {
-                    break;
-                }
-                let col = c + j;
-                let (cw, cm) = (col / 64, 1u64 << (col % 64));
-                // Window-pivot-row bits at this column (current state).
-                let mut pmask = 0u64;
-                for i in 0..npiv {
-                    if self.data[(r + i) * wpr + cw] & cm != 0 {
-                        pmask |= 1 << i;
-                    }
-                }
-                // First candidate whose effective bit (after the pending
-                // block elimination) is one — the same row the sequential
-                // path would pick.
-                let found = (r + npiv..rows).find(|&t| {
-                    let row = &self.data[t * wpr..(t + 1) * wpr];
-                    let mut eff = row[cw] & cm != 0;
-                    if pmask != 0 {
-                        let mut sel = 0u64;
-                        for (i, &wc) in wcols[..npiv].iter().enumerate() {
-                            let pc = c + wc;
-                            sel |= ((row[pc / 64] >> (pc % 64)) & 1) << i;
-                        }
-                        eff ^= (sel & pmask).count_ones() % 2 == 1;
-                    }
-                    eff
-                });
-                let Some(t) = found else { continue };
-                // Reduce the candidate by the block pivots it still carries
-                // (pivot rows are mutually reduced, so bits at the other
-                // pivot columns are untouched by each XOR).
-                for (i, &wc) in wcols.iter().enumerate().take(npiv) {
-                    let pc = c + wc;
-                    if self.data[t * wpr + pc / 64] & (1u64 << (pc % 64)) != 0 {
-                        self.xor_rows(t, r + i);
-                    }
-                }
-                debug_assert!(self.data[t * wpr + cw] & cm != 0);
-                self.swap_rows(r + npiv, t);
-                // Reduce earlier block pivots upward against the new pivot.
-                for i in 0..npiv {
-                    if self.data[(r + i) * wpr + cw] & cm != 0 {
-                        self.xor_rows(r + i, r + npiv);
-                    }
-                }
-                wcols[npiv] = j;
-                npiv += 1;
-                pivots.push(col);
-            }
-            if npiv == 0 {
-                c += kk;
-                continue;
-            }
-            // Phase 2: Gray-code table over the window's pivot-bit patterns,
-            // then one lookup + row XOR per row outside the block. Only the
-            // 2^npiv subsets of the pivot mask are reachable (non-pivot
-            // window bits are masked off below), so only those entries are
-            // built — each from its Gray-code predecessor XOR one pivot row.
-            let pivmask: u64 = wcols[..npiv]
-                .iter()
-                .map(|&j| 1u64 << j)
-                .fold(0, |a, b| a | b);
-            table[..wpr].fill(0);
-            let mut prev_idx = 0usize;
-            for g in 1u32..(1 << npiv) {
-                let gray = g ^ (g >> 1);
-                let i = g.trailing_zeros() as usize; // pivot toggled vs predecessor
-                let idx: usize = (0..npiv)
-                    .filter(|&b| gray & (1 << b) != 0)
-                    .map(|b| 1usize << wcols[b])
-                    .sum();
-                let (src, dst) = (prev_idx * wpr, idx * wpr);
-                let prow = (r + i) * wpr;
-                for w in 0..wpr {
-                    table[dst + w] = table[src + w] ^ self.data[prow + w];
-                }
-                prev_idx = idx;
-            }
-            let (w0, off) = (c / 64, c % 64);
-            let spill = off + kk > 64;
-            // Monomorphized sweeps: with the word count a compile-time
-            // constant the per-row XOR unrolls completely, which is where
-            // the blocked path's advantage over the word loop comes from.
-            match wpr {
-                1 => m4ri_sweep::<1>(&mut self.data, &table, r, npiv, w0, off, spill, pivmask),
-                2 => m4ri_sweep::<2>(&mut self.data, &table, r, npiv, w0, off, spill, pivmask),
-                3 => m4ri_sweep::<3>(&mut self.data, &table, r, npiv, w0, off, spill, pivmask),
-                4 => m4ri_sweep::<4>(&mut self.data, &table, r, npiv, w0, off, spill, pivmask),
-                5 => m4ri_sweep::<5>(&mut self.data, &table, r, npiv, w0, off, spill, pivmask),
-                6 => m4ri_sweep::<6>(&mut self.data, &table, r, npiv, w0, off, spill, pivmask),
-                7 => m4ri_sweep::<7>(&mut self.data, &table, r, npiv, w0, off, spill, pivmask),
-                8 => m4ri_sweep::<8>(&mut self.data, &table, r, npiv, w0, off, spill, pivmask),
-                9 => m4ri_sweep::<9>(&mut self.data, &table, r, npiv, w0, off, spill, pivmask),
-                10 => m4ri_sweep::<10>(&mut self.data, &table, r, npiv, w0, off, spill, pivmask),
-                11 => m4ri_sweep::<11>(&mut self.data, &table, r, npiv, w0, off, spill, pivmask),
-                12 => m4ri_sweep::<12>(&mut self.data, &table, r, npiv, w0, off, spill, pivmask),
-                13 => m4ri_sweep::<13>(&mut self.data, &table, r, npiv, w0, off, spill, pivmask),
-                14 => m4ri_sweep::<14>(&mut self.data, &table, r, npiv, w0, off, spill, pivmask),
-                15 => m4ri_sweep::<15>(&mut self.data, &table, r, npiv, w0, off, spill, pivmask),
-                16 => m4ri_sweep::<16>(&mut self.data, &table, r, npiv, w0, off, spill, pivmask),
-                _ => m4ri_sweep_wide(
-                    &mut self.data,
-                    wpr,
-                    &table,
-                    r,
-                    npiv,
-                    w0,
-                    off,
-                    spill,
-                    pivmask,
-                ),
-            }
-            r += npiv;
-            c += kk;
         }
     }
 
@@ -906,8 +728,9 @@ impl BitMatrix {
 
     /// Null-space basis of the leading `lead_cols`-column block of a matrix
     /// already reduced by [`BitMatrix::rref_within`], as the rows of a
-    /// matrix — the same basis (and order) [`BitMatrix::null_space`]
-    /// computes from scratch.
+    /// matrix: one basis row per free column, in increasing column order,
+    /// with a 1 at that free column and at each pivot column whose reduced
+    /// row carries it.
     pub fn null_space_from_reduced(&self, pivots: &[usize], lead_cols: usize) -> BitMatrix {
         let mut basis = BitMatrix::zeros(0, 0);
         self.null_space_from_reduced_into(pivots, lead_cols, &mut basis);
@@ -979,29 +802,6 @@ impl BitMatrix {
         Some(x)
     }
 
-    /// Returns a basis of the null space (kernel) of the matrix, each element
-    /// a vector of length `self.cols()`.
-    pub fn null_space(&self) -> Vec<Vec<bool>> {
-        let mut m = self.clone();
-        let pivots = m.rref();
-        let pivot_set: std::collections::BTreeSet<usize> = pivots.iter().copied().collect();
-        let mut basis = Vec::new();
-        for free in 0..self.cols {
-            if pivot_set.contains(&free) {
-                continue;
-            }
-            let mut v = vec![false; self.cols];
-            v[free] = true;
-            for (row, &pc) in pivots.iter().enumerate() {
-                if m.get(row, free) {
-                    v[pc] = true;
-                }
-            }
-            basis.push(v);
-        }
-        basis
-    }
-
     /// Multiplies `self` by a column vector over GF(2).
     ///
     /// # Panics
@@ -1020,71 +820,6 @@ impl BitMatrix {
                 acc
             })
             .collect()
-    }
-}
-
-/// Phase-2 elimination sweep of [`BitMatrix::rref_within_blocked_into`] for
-/// rows of exactly `W` words: extracts each row's window pattern, masks it
-/// to the pivot bits, and XORs the matching table entry in (skipping the
-/// `npiv` pivot rows starting at `block_start`). `W` being a compile-time
-/// constant lets the row XOR unroll completely.
-#[allow(clippy::too_many_arguments)]
-fn m4ri_sweep<const W: usize>(
-    data: &mut [u64],
-    table: &[u64],
-    block_start: usize,
-    npiv: usize,
-    w0: usize,
-    off: usize,
-    spill: bool,
-    pivmask: u64,
-) {
-    for (t, row) in data.chunks_exact_mut(W).enumerate() {
-        if t.wrapping_sub(block_start) < npiv {
-            continue;
-        }
-        let mut pat = row[w0] >> off;
-        if spill {
-            pat |= row[w0 + 1] << (64 - off);
-        }
-        pat &= pivmask;
-        if pat != 0 {
-            let entry = &table[pat as usize * W..pat as usize * W + W];
-            for w in 0..W {
-                row[w] ^= entry[w];
-            }
-        }
-    }
-}
-
-/// [`m4ri_sweep`] for rows wider than 16 words (runtime word count).
-#[allow(clippy::too_many_arguments)]
-fn m4ri_sweep_wide(
-    data: &mut [u64],
-    wpr: usize,
-    table: &[u64],
-    block_start: usize,
-    npiv: usize,
-    w0: usize,
-    off: usize,
-    spill: bool,
-    pivmask: u64,
-) {
-    for (t, row) in data.chunks_exact_mut(wpr).enumerate() {
-        if t.wrapping_sub(block_start) < npiv {
-            continue;
-        }
-        let mut pat = row[w0] >> off;
-        if spill {
-            pat |= row[w0 + 1] << (64 - off);
-        }
-        pat &= pivmask;
-        if pat != 0 {
-            let entry = &table[pat as usize * wpr..pat as usize * wpr + wpr];
-            for (w, &e) in row.iter_mut().zip(entry) {
-                *w ^= e;
-            }
-        }
     }
 }
 
@@ -1182,10 +917,13 @@ mod tests {
             vec![true, true, false, true],
             vec![false, true, true, true],
         ]);
-        let basis = a.null_space();
-        assert_eq!(basis.len(), 2); // 4 cols - rank 2
-        for v in &basis {
-            assert!(a.mul_vec(v).iter().all(|&b| !b));
+        let mut reduced = a.clone();
+        let pivots = reduced.rref();
+        let basis = reduced.null_space_from_reduced(&pivots, a.cols());
+        assert_eq!(basis.rows(), 2); // 4 cols - rank 2
+        for v in 0..basis.rows() {
+            let v: Vec<bool> = (0..a.cols()).map(|c| basis.get(v, c)).collect();
+            assert!(a.mul_vec(&v).iter().all(|&b| !b));
         }
     }
 

@@ -1,9 +1,10 @@
 //! Differential oracle harness for the GF(2) eliminations.
 //!
-//! `BitMatrix` reduces through three RREF paths — the transposed
-//! `rref_small` kernel, the Four-Russians blocked elimination, and the
-//! straight-line word loop. This suite drives each fast path against the
-//! word loop over adversarial shapes — exact word boundaries
+//! `BitMatrix::rref_within_into` reduces through one of two paths, picked
+//! from the shape alone: the transposed `rref_small` kernel for systems of
+//! at most 64 rows and 128 columns, and the straight-line word loop for
+//! everything else. This suite drives the dispatched path against the word
+//! loop over adversarial shapes — exact word boundaries
 //! (63/64/65/127/128/129), all-zero and full-rank matrices, rank-deficient
 //! systems, and random instances via the proptest shim — and requires
 //! bit-for-bit agreement: same reduced matrices, same pivot lists, same
@@ -44,37 +45,34 @@ fn random_matrix(rows: usize, cols: usize, density_num: u32, rng: &mut StdRng) -
     m
 }
 
-/// Reduces `m` along both elimination paths and asserts bit-identity of the
-/// reduced matrix, the pivot list, every augmented-column solution read, and
-/// the null-space basis.
+/// Reduces `m` through the dispatch and through the word loop and asserts
+/// bit-identity of the reduced matrix, the pivot list, every
+/// augmented-column solution read, and the null-space basis.
 fn assert_rref_paths_agree(m: &BitMatrix, lead_cols: usize, label: &str) {
-    let mut via_blocked = m.clone();
-    let mut via_wordloop = m.clone();
-    let mut piv_b = Vec::new();
+    let mut dispatched = m.clone();
+    let mut wordloop = m.clone();
+    let mut piv_d = Vec::new();
     let mut piv_w = Vec::new();
-    via_blocked.rref_within_blocked_into(lead_cols, &mut piv_b);
-    via_wordloop.rref_within_wordloop_into(lead_cols, &mut piv_w);
-    assert_eq!(piv_b, piv_w, "{label}: pivot lists diverge");
-    assert_eq!(
-        via_blocked, via_wordloop,
-        "{label}: reduced matrices diverge"
-    );
+    dispatched.rref_within_into(lead_cols, &mut piv_d);
+    wordloop.rref_within_wordloop_into(lead_cols, &mut piv_w);
+    assert_eq!(piv_d, piv_w, "{label}: pivot lists diverge");
+    assert_eq!(dispatched, wordloop, "{label}: reduced matrices diverge");
     for j in 0..m.cols() - lead_cols {
         assert_eq!(
-            via_blocked.solution_from_reduced(&piv_b, lead_cols, j),
-            via_wordloop.solution_from_reduced(&piv_w, lead_cols, j),
+            dispatched.solution_from_reduced(&piv_d, lead_cols, j),
+            wordloop.solution_from_reduced(&piv_w, lead_cols, j),
             "{label}: solution read {j} diverges"
         );
     }
     assert_eq!(
-        via_blocked.null_space_from_reduced(&piv_b, lead_cols),
-        via_wordloop.null_space_from_reduced(&piv_w, lead_cols),
+        dispatched.null_space_from_reduced(&piv_d, lead_cols),
+        wordloop.null_space_from_reduced(&piv_w, lead_cols),
         "{label}: null-space bases diverge"
     );
 }
 
 #[test]
-fn rref_blocked_matches_wordloop_on_adversarial_shapes() {
+fn rref_dispatch_matches_wordloop_on_adversarial_shapes() {
     let mut rng = StdRng::seed_from_u64(0xBEEF);
     for &(rows, cols) in &ADVERSARIAL_SHAPES {
         // All-zero: no pivots on either path.
@@ -119,9 +117,10 @@ fn rref_dispatch_matches_wordloop_on_every_branch() {
     let mut rng = StdRng::seed_from_u64(0xA11);
     for &(rows, cols) in &[
         (40, 100),  // ≤ 64 rows, ≤ 128 cols → rref_small
-        (100, 90),  // > 64 rows → Four-Russians
-        (129, 129), // > 64 rows → Four-Russians
-        (80, 200),  // > 64 rows → Four-Russians
+        (100, 90),  // > 64 rows → word loop
+        (129, 129), // > 64 rows → word loop
+        (80, 200),  // > 64 rows → word loop
+        (275, 275), // > 64 rows, stage 5's square rank test → word loop
         (40, 200),  // ≤ 64 rows, > 128 cols → word loop
         (64, 129),  // ≤ 64 rows, > 128 cols → word loop
     ] {
@@ -177,13 +176,13 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let m = random_matrix(rows, cols + rhs, density, &mut rng);
-        let mut via_blocked = m.clone();
-        let mut via_wordloop = m.clone();
-        let mut piv_b = Vec::new();
+        let mut dispatched = m.clone();
+        let mut wordloop = m.clone();
+        let mut piv_d = Vec::new();
         let mut piv_w = Vec::new();
-        via_blocked.rref_within_blocked_into(cols, &mut piv_b);
-        via_wordloop.rref_within_wordloop_into(cols, &mut piv_w);
-        prop_assert_eq!(piv_b, piv_w);
-        prop_assert_eq!(via_blocked, via_wordloop);
+        dispatched.rref_within_into(cols, &mut piv_d);
+        wordloop.rref_within_wordloop_into(cols, &mut piv_w);
+        prop_assert_eq!(piv_d, piv_w);
+        prop_assert_eq!(dispatched, wordloop);
     }
 }

@@ -230,13 +230,13 @@ fn degenerate_matrices_reduce_without_pivots() {
     let mut no_rows = BitMatrix::zeros(0, 5);
     assert_eq!(no_rows.rref(), Vec::<usize>::new());
     assert_eq!(no_rows.rank(), 0);
-    assert_eq!(no_rows.null_space().len(), 5);
+    assert_eq!(no_rows.null_space_from_reduced(&[], 5).rows(), 5);
     // Zero columns: no pivots possible regardless of row count, and the
     // word-level paths must tolerate the minimum one-word stride.
     let mut no_cols = BitMatrix::zeros(4, 0);
     assert_eq!(no_cols.rref(), Vec::<usize>::new());
     assert_eq!(no_cols.rank(), 0);
-    assert!(no_cols.null_space().is_empty());
+    assert_eq!(no_cols.null_space_from_reduced(&[], 0).rows(), 0);
     assert!(no_cols.row_is_zero(0));
     assert_eq!(no_cols.row_count_ones(3), 0);
     // Both: the empty matrix round-trips every query.

@@ -662,8 +662,8 @@ impl Tableau {
 
     /// Reduces rows to echelon form over the *qubit-pair* column order
     /// restricted to `qubit_order`, returning nothing but leaving the tableau
-    /// in the echelon gauge. Used by the time-reversed solver (and, over the
-    /// full order, by [`Tableau::canonicalize`]).
+    /// in the echelon gauge. Over the full order this is
+    /// [`Tableau::canonicalize`].
     pub fn echelon_gauge(&mut self, qubit_order: &[usize]) {
         let mut pivot_row = 0;
         for &q in qubit_order {
@@ -787,11 +787,16 @@ impl Tableau {
         //   isolated +Z row an absorbed photon leaves is one), so it is
         //   substituted out: the row is dropped and column g is removed
         //   from every other row.
-        // The reduced row echelon form is unique and its row pivoting at a
-        // killed g is exactly e_g, so the compacted system's RREF is the full
-        // one without those rows and columns: pivots, the free-variables-zero
-        // solutions and the null-space basis (free columns and their order)
-        // all map back through `keep` unchanged.
+        // Substitution leaves new singletons (a row whose other bits were
+        // all killed), so it repeats over the dense rows until a pass kills
+        // nothing: a row whose kept bits are one generator kills it, a row
+        // with none left is dropped, and the rest keep their order. Every
+        // killed g is forced to 0 by homogeneous rows, so e_g lies in the
+        // row space. The reduced row echelon form is unique and its row
+        // pivoting at a killed g is exactly e_g, so the compacted system's
+        // RREF is the full one without those rows and columns: pivots, the
+        // free-variables-zero solutions and the null-space basis (free
+        // columns and their order) all map back through `keep` unchanged.
         s.killed.reset(self.n);
         s.dense.clear();
         for &q in &s.forbidden {
@@ -804,6 +809,27 @@ impl Tableau {
                 }
             }
         }
+        let mut peeled = !s.killed.is_zero();
+        while peeled {
+            peeled = false;
+            let killed = &mut s.killed;
+            s.dense.retain(|&(q, is_z)| {
+                let col = if is_z { &self.zs[q] } else { &self.xs[q] };
+                let (first, second) = {
+                    let mut ones = kept_ones(col, killed);
+                    (ones.next(), ones.next())
+                };
+                match (first, second) {
+                    (None, _) => false,
+                    (Some(g), None) => {
+                        killed.set(g, true);
+                        peeled = true;
+                        false
+                    }
+                    _ => true,
+                }
+            });
+        }
         s.keep.clear();
         s.rank.resize(self.n, 0);
         for g in 0..self.n {
@@ -815,19 +841,16 @@ impl Tableau {
         let m = s.keep.len();
         // Gather the surviving rows over the kept generators, augmented with
         // the three (x, z) target patterns as extra columns so ONE
-        // elimination serves every pattern solve and the null space. A row
-        // the substitution empties is skipped like an all-zero one; the two
-        // target rows are always kept, since they carry the rhs bits.
-        s.a.reset(s.dense.len() + 2, m + 3);
-        let mut base = 0;
-        for &(q, is_z) in &s.dense {
+        // elimination serves every pattern solve and the null space. Every
+        // surviving row keeps at least two bits; the two target rows are
+        // always kept, since they carry the rhs bits.
+        let base = s.dense.len();
+        s.a.reset(base + 2, m + 3);
+        for (r, &(q, is_z)) in s.dense.iter().enumerate() {
             let col = if is_z { &self.zs[q] } else { &self.xs[q] };
-            gather_kept(col, &s.killed, &s.rank, s.a.row_words_mut(base));
-            if !s.a.row_is_zero(base) {
-                base += 1;
-            }
+            gather_kept(col, &s.killed, &s.rank, s.a.row_words_mut(r));
+            debug_assert!(s.a.row_count_ones(r) >= 2);
         }
-        s.a.truncate_rows(base + 2);
         for (i, col) in [&self.xs[target], &self.zs[target]].into_iter().enumerate() {
             gather_kept(col, &s.killed, &s.rank, s.a.row_words_mut(base + i));
         }
@@ -1115,8 +1138,8 @@ pub struct ElementScratch {
     keep: Vec<usize>,
     /// Inverse of `keep`: `rank[keep[i]] == i` (other entries are stale).
     rank: Vec<usize>,
-    /// Forbidden constraint rows with two or more set bits, as
-    /// `(qubit, is_z)`.
+    /// Forbidden constraint rows with two or more set bits outside
+    /// `killed`, as `(qubit, is_z)`.
     dense: Vec<(usize, bool)>,
     /// Membership masks over qubits.
     in_restrict: Vec<bool>,
@@ -1443,6 +1466,32 @@ mod tests {
             .find_element_supported_on_in(&[0, 2], 2, &[1], &mut scratch)
             .expect("X_2 Z_1 exists");
         assert!(!rows.is_empty());
+    }
+
+    #[test]
+    fn element_search_peels_chained_singletons() {
+        // Generator 60 is Z_60 and generator i is Z_{i-1} Z_i for i in
+        // 61..=70, so of the chain's Z columns only qubit 70's starts as a
+        // singleton, and each kill turns the next one down into one, across
+        // the word boundary. Every other qubit but 71 is an isolated X_q.
+        let mut t = Tableau::graph_state(&Graph::new(72));
+        for q in 60..=70 {
+            t.h(q);
+        }
+        for q in 61..=70 {
+            t.cnot(q - 1, q);
+        }
+        let mut scratch = ElementScratch::new();
+        let rows = t.find_element_supported_on_in(&[], 71, &[], &mut scratch);
+        assert_eq!(rows, Some(vec![71]));
+        for g in 60..=70 {
+            assert!(scratch.killed.get(g), "chained generator {g} survived");
+        }
+        assert!(
+            scratch.dense.is_empty(),
+            "dense rows left: {:?}",
+            scratch.dense
+        );
     }
 
     #[test]

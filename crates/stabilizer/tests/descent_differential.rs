@@ -14,7 +14,10 @@
 //! photon leaves) or `Y` (two identical singleton rows), some of whose
 //! generators also carry letters on other qubits, queried with those qubits
 //! as targets too and in the free-wire shape (`restrict` and `allowed`
-//! empty).
+//! empty). A third family chains them: a run of generators
+//! `Z_a, Z_a Z_b, Z_b Z_c, …` whose constraint rows become singletons only
+//! once the next generator along the run is killed, with runs of three or
+//! more qubits that cross the 64-bit word boundary.
 
 #[path = "reference/descent.rs"]
 mod descent_reference;
@@ -77,16 +80,7 @@ fn random_query(n: usize, rng: &mut StdRng) -> (Vec<usize>, usize, Vec<usize>, V
 /// touches no absorbed qubit. Returns the tableau and the absorbed qubits.
 fn absorbed_tableau(n: usize, rng: &mut StdRng) -> (Tableau, Vec<usize>) {
     let absorbed: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.6)).collect();
-    let p = rng.gen_range(1..8) as f64 / 16.0;
-    let mut g = Graph::new(n);
-    for a in 0..n {
-        for b in a + 1..n {
-            if !absorbed[a] && !absorbed[b] && rng.gen_bool(p) {
-                g.add_edge(a, b).expect("in range");
-            }
-        }
-    }
-    let mut t = Tableau::graph_state(&g);
+    let mut t = graph_state_outside(&absorbed, rng);
     for q in (0..n).filter(|&q| absorbed[q]) {
         if rng.gen_range(0..4) == 0 {
             t.s(q);
@@ -94,33 +88,120 @@ fn absorbed_tableau(n: usize, rng: &mut StdRng) -> (Tableau, Vec<usize>) {
             t.h(q);
         }
     }
-    let active: Vec<usize> = (0..n).filter(|&q| !absorbed[q]).collect();
-    if !active.is_empty() {
-        for _ in 0..n {
-            let a = active[rng.gen_range(0..active.len())];
-            let b = active[rng.gen_range(0..active.len())];
-            match rng.gen_range(0..5) {
-                0 => t.h(a),
-                1 => t.s(a),
-                2 if a != b => t.cnot(a, b),
-                3 if a != b => t.cz(a, b),
-                4 => {
-                    let dst = rng.gen_range(0..n);
-                    if dst != b {
-                        t.row_mul(dst, b);
-                    }
+    scramble_outside(&mut t, &absorbed, rng);
+    (t, (0..n).filter(|&q| absorbed[q]).collect())
+}
+
+/// A graph state with random edges among the qubits outside `set`; the
+/// qubits in `set` stay isolated `+X`.
+fn graph_state_outside(set: &[bool], rng: &mut StdRng) -> Tableau {
+    let n = set.len();
+    let p = rng.gen_range(1..8) as f64 / 16.0;
+    let mut g = Graph::new(n);
+    for a in 0..n {
+        for b in a + 1..n {
+            if !set[a] && !set[b] && rng.gen_bool(p) {
+                g.add_edge(a, b).expect("in range");
+            }
+        }
+    }
+    Tableau::graph_state(&g)
+}
+
+/// `n` random Cliffords on the qubits outside `set`, and row products that
+/// may multiply any generator (one whose qubit is in `set` included) by a
+/// generator that touches no qubit of `set`.
+fn scramble_outside(t: &mut Tableau, set: &[bool], rng: &mut StdRng) {
+    let n = set.len();
+    let active: Vec<usize> = (0..n).filter(|&q| !set[q]).collect();
+    if active.is_empty() {
+        return;
+    }
+    for _ in 0..n {
+        let a = active[rng.gen_range(0..active.len())];
+        let b = active[rng.gen_range(0..active.len())];
+        match rng.gen_range(0..5) {
+            0 => t.h(a),
+            1 => t.s(a),
+            2 if a != b => t.cnot(a, b),
+            3 if a != b => t.cz(a, b),
+            4 => {
+                let dst = rng.gen_range(0..n);
+                if dst != b {
+                    t.row_mul(dst, b);
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+/// A tableau on `n ≥ 3` qubits carrying chains of singleton rows. Each
+/// chain `c_0, c_1, …, c_{L-1}` (L ≥ 3) has generator `c_0 = Z_{c_0}` and
+/// generator `c_i = Z_{c_{i-1}} Z_{c_i}`, so only the last chain qubit's
+/// column starts as a singleton and each kill makes the next column down
+/// the chain one; a chain qubit's letters are sometimes rotated to
+/// `X` or `Y` (two identical rows). When `n > 65` the first chain is a run
+/// of consecutive qubits across 63/64. The other qubits hold a scrambled
+/// random graph state as in [`absorbed_tableau`], and row products may
+/// multiply any generator by one touching no chain qubit, so chain
+/// generators also carry letters elsewhere. Returns the tableau and the
+/// chain qubits.
+fn chained_tableau(n: usize, rng: &mut StdRng) -> (Tableau, Vec<usize>) {
+    let mut free: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        free.swap(i, rng.gen_range(0..=i));
+    }
+    let mut chains: Vec<Vec<usize>> = Vec::new();
+    if n > 65 {
+        let len = rng.gen_range(3..=8);
+        let start = rng.gen_range(65 - len..=63).min(n - len);
+        let mut run: Vec<usize> = (start..start + len).collect();
+        if rng.gen_bool(0.5) {
+            run.reverse();
+        }
+        free.retain(|q| !run.contains(q));
+        chains.push(run);
+    }
+    for _ in 0..rng.gen_range(1..=3) {
+        let len = rng.gen_range(3..=6);
+        if free.len() < len {
+            break;
+        }
+        chains.push(free.split_off(free.len() - len));
+    }
+    let in_chain: Vec<bool> = (0..n)
+        .map(|q| chains.iter().flatten().any(|&c| c == q))
+        .collect();
+    let mut t = graph_state_outside(&in_chain, rng);
+    for chain in &chains {
+        for &q in chain {
+            t.h(q);
+        }
+        for pair in chain.windows(2) {
+            t.cnot(pair[0], pair[1]);
+        }
+        for &q in chain {
+            match rng.gen_range(0..4) {
+                0 => t.h(q),
+                1 => {
+                    t.h(q);
+                    t.s(q);
                 }
                 _ => {}
             }
         }
     }
-    (t, (0..n).filter(|&q| absorbed[q]).collect())
+    scramble_outside(&mut t, &in_chain, rng);
+    (t, (0..n).filter(|&q| in_chain[q]).collect())
 }
 
-/// A query on an [`absorbed_tableau`]: `restrict` holds every absorbed
-/// qubit and a random share of the others, the target is drawn from it
-/// (often an absorbed qubit, whose single-bit target rows must survive),
-/// and `allowed` is usually the complement, sometimes a random multiset.
+/// A query on an [`absorbed_tableau`] or a [`chained_tableau`]: `restrict`
+/// holds every absorbed (or chained) qubit and a random share of the
+/// others, the target is drawn from it (often an absorbed qubit, whose
+/// single-bit target rows must survive, or a chain qubit, which cuts its
+/// chain), and `allowed` is usually the complement, sometimes a random
+/// multiset.
 fn absorbed_query(
     n: usize,
     absorbed: &[usize],
@@ -192,11 +273,13 @@ fn check_sizes(sizes: &[usize], cases: usize, seed: u64, scratch: &mut ElementSc
     moved
 }
 
-/// Runs `cases` queries on [`absorbed_tableau`]s at each size, plus one
-/// free-wire query (`restrict = []`, `allowed = []`) per tableau. Returns
-/// how many queries moved the descent and how many found an element on an
-/// absorbed target.
-fn check_absorbed_sizes(
+/// Runs `cases` queries on tableaux from `build` ([`absorbed_tableau`] or
+/// [`chained_tableau`]) at each size, plus one free-wire query
+/// (`restrict = []`, `allowed = []`) per tableau. Returns how many queries
+/// moved the descent and how many found an element on an absorbed (or
+/// chained) target.
+fn check_singleton_sizes(
+    build: fn(usize, &mut StdRng) -> (Tableau, Vec<usize>),
     sizes: &[usize],
     cases: usize,
     seed: u64,
@@ -206,8 +289,8 @@ fn check_absorbed_sizes(
     let (mut moved, mut absorbed_found) = (0, 0);
     for &n in sizes {
         for case in 0..cases {
-            let (t, absorbed) = absorbed_tableau(n, &mut rng);
-            let label = format!("absorbed n {n} case {case}");
+            let (t, absorbed) = build(n, &mut rng);
+            let label = format!("singleton n {n} case {case}");
             let query = absorbed_query(n, &absorbed, &mut rng);
             let (weighted, first) = check_query(&t, &query, scratch, &label);
             if weighted.is_some() && weighted != first {
@@ -239,7 +322,8 @@ fn cached_descent_matches_reference_across_word_boundaries() {
 #[test]
 fn compacted_search_matches_reference_on_singleton_rows() {
     let mut scratch = ElementScratch::new();
-    let (moved, absorbed_found) = check_absorbed_sizes(
+    let (moved, absorbed_found) = check_singleton_sizes(
+        absorbed_tableau,
         &[1, 2, 5, 20, 63, 64, 65, 127, 128, 129],
         12,
         0xAB50,
@@ -249,6 +333,23 @@ fn compacted_search_matches_reference_on_singleton_rows() {
     assert!(
         absorbed_found > 0,
         "no query found an element on a single-bit target row"
+    );
+}
+
+#[test]
+fn compacted_search_matches_reference_on_chained_singletons() {
+    let mut scratch = ElementScratch::new();
+    let (moved, chain_found) = check_singleton_sizes(
+        chained_tableau,
+        &[3, 5, 20, 63, 64, 66, 67, 100, 127, 128, 129],
+        12,
+        0xC4A1,
+        &mut scratch,
+    );
+    assert!(moved > 0, "no query exercised the descent");
+    assert!(
+        chain_found > 0,
+        "no query found an element on a chain target"
     );
 }
 
@@ -262,6 +363,11 @@ proptest! {
 
     #[test]
     fn random_singleton_queries_match_reference(n in 1usize..100, seed in any::<u64>()) {
-        check_absorbed_sizes(&[n], 2, seed, &mut ElementScratch::new());
+        check_singleton_sizes(absorbed_tableau, &[n], 2, seed, &mut ElementScratch::new());
+    }
+
+    #[test]
+    fn random_chained_queries_match_reference(n in 3usize..140, seed in any::<u64>()) {
+        check_singleton_sizes(chained_tableau, &[n], 2, seed, &mut ElementScratch::new());
     }
 }

@@ -204,14 +204,14 @@ proptest! {
     }
 
     /// Deterministic-sign queries on wider states still agree with the
-    /// reference on every wire. Only the reference reaches the
-    /// Four-Russians elimination here: `RefTableau` solves its full
-    /// 2n-row system with `BitMatrix::solve`, while the production
-    /// `deterministic_z_sign` reduces only the compacted free-wire system,
-    /// on the small kernel. So this does not cross-check the blocked path;
-    /// `gf2_differential.rs` is its only oracle.
+    /// reference on every wire. `RefTableau` solves its full 2n-row system
+    /// with `BitMatrix::solve`, which at these sizes takes the word loop,
+    /// while the production `deterministic_z_sign` reduces only the
+    /// compacted free-wire system, on the small kernel. So the two sides
+    /// share no elimination path; `gf2_differential.rs` holds the paths to
+    /// each other.
     #[test]
-    fn deterministic_sign_matches_reference_on_four_russians_sizes(
+    fn deterministic_sign_matches_reference_on_wide_states(
         n in 33usize..=70,
         raw in arb_program(30)
     ) {
